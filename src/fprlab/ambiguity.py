@@ -24,6 +24,7 @@ from .ztransform import RootSelection, ZeroPairing, signal_from_selection
 ENUM_BUDGET_PAIRS = 24
 ANCHOR_REL_TOL = 1e-6
 CANON_DECIMALS = 9
+RESIDUAL_BLOCK_BITS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +33,6 @@ class SolutionSet:
 
     pairing: ZeroPairing
     solutions: tuple
-    canonical: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "solutions", tuple(self.solutions))
@@ -41,21 +41,29 @@ class SolutionSet:
         return [sig for _, sig in self.solutions]
 
 
-def enumerate_solutions(pairing: ZeroPairing, alpha: float = 0.0) -> SolutionSet:
+def _check_budget(pairing: ZeroPairing) -> int:
+    p = pairing.n_pairs
+    if p > ENUM_BUDGET_PAIRS:
+        raise EnumerationBudgetExceeded(f"{p} pairs exceed the {ENUM_BUDGET_PAIRS}-pair budget")
+    return p
+
+
+def _expand(pairing: ZeroPairing, codes, alpha: float) -> SolutionSet:
+    """Expand the selections with the given integer encodings, in that order."""
+    out = []
+    for v in codes:
+        choices = tuple(bool((int(v) >> k) & 1) for k in range(pairing.n_pairs))
+        out.append((choices, signal_from_selection(RootSelection(pairing, choices, alpha))))
+    return SolutionSet(pairing, tuple(out))
+
+
+def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
     """Expand every root selection, ordered by choice-vector integer encoding.
 
     Bit k of the encoding picks gamma (True) or gamma_recip (False) for
     pair k. Raises EnumerationBudgetExceeded past 24 pairs.
     """
-    p = pairing.n_pairs
-    if p > ENUM_BUDGET_PAIRS:
-        raise EnumerationBudgetExceeded(f"{p} pairs exceed the {ENUM_BUDGET_PAIRS}-pair budget")
-    out = []
-    for v in range(1 << p):
-        choices = tuple(bool((v >> k) & 1) for k in range(p))
-        sig = signal_from_selection(RootSelection(pairing, choices, alpha))
-        out.append((choices, sig))
-    return SolutionSet(pairing, tuple(out), canonical=False)
+    return _expand(pairing, range(1 << _check_budget(pairing)), 0.0)
 
 
 def _phase_fixed(e: np.ndarray) -> np.ndarray:
@@ -105,28 +113,49 @@ def product_constraint(sel: RootSelection, x0: complex) -> float:
     return float(abs(prod - target))
 
 
-def filter_by_anchor(
-    sols: SolutionSet, x0: complex, tol: float = ANCHOR_REL_TOL
-) -> SolutionSet:
-    """Keep selections whose product residual is below tol relative to |scale|/|x0|^2.
+def anchor_residuals(pairing: ZeroPairing, x0: complex) -> np.ndarray:
+    """product_constraint of every choice vector, in integer-encoding order.
 
-    Survivors are re-expanded with alpha = arg(x0) so their leading entry
-    matches the anchor's phase. Raises NoFeasibleSolution when nothing
-    survives, which certifies the anchor is inconsistent with the pairing.
+    Bitwise equal to that reference: rows are reduced by np.prod in pair
+    order and measured with hypot. Rows are built 2^RESIDUAL_BLOCK_BITS at
+    a time so memory stays a few MB at any pair count. Raises
+    EnumerationBudgetExceeded past 24 pairs and ZeroAnchor for x0 = 0.
     """
+    p = _check_budget(pairing)
     x0 = complex(x0)
     if x0 == 0:
         raise ZeroAnchor("x(0) = 0 cannot anchor")
-    threshold = tol * abs(complex(sols.pairing.scale)) / abs(x0) ** 2
-    alpha = float(np.angle(x0))
-    keep = []
-    for choices, _ in sols.solutions:
-        sel = RootSelection(sols.pairing, choices, alpha)
-        if product_constraint(sel, x0) <= threshold:
-            keep.append((choices, signal_from_selection(sel)))
-    if not keep:
-        raise NoFeasibleSolution(f"no selection matches anchor {x0}")
-    return SolutionSet(sols.pairing, tuple(keep), canonical=False)
+    target = complex(pairing.scale) / abs(x0) ** 2
+    neg = -np.array(pairing.pairs, dtype=np.complex128).reshape(p, 2)
+    out = np.empty(1 << p)
+    for lo in range(0, out.size, 1 << RESIDUAL_BLOCK_BITS):
+        v = np.arange(lo, min(lo + (1 << RESIDUAL_BLOCK_BITS), out.size))
+        d = np.prod(np.where((v[:, None] >> np.arange(p)) & 1, neg[:, 0], neg[:, 1]), axis=1) - target
+        out[lo : lo + v.size] = np.hypot(d.real, d.imag)
+    return out
+
+
+def anchor_threshold(pairing: ZeroPairing, x0: complex, tol: float) -> float:
+    """Accept bound tol * |r(N-1)| / |x0|^2 on an anchor residual."""
+    return tol * abs(complex(pairing.scale)) / abs(complex(x0)) ** 2
+
+
+def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_REL_TOL) -> SolutionSet:
+    """Selections whose anchor residual is within anchor_threshold, in
+    choice-vector order. Only they are expanded, with alpha = arg(x0).
+
+    Raises NoFeasibleSolution when nothing survives, which certifies the
+    anchor is inconsistent with the pairing.
+    """
+    survivors = np.flatnonzero(anchor_residuals(pairing, x0) <= anchor_threshold(pairing, x0, tol))
+    if not survivors.size:
+        raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
+    return _expand(pairing, survivors, float(np.angle(x0)))
+
+
+def filter_by_anchor(sols: SolutionSet, x0: complex, tol: float = ANCHOR_REL_TOL) -> SolutionSet:
+    """anchored_solutions of the set's pairing; its expanded signals are not reused."""
+    return anchored_solutions(sols.pairing, x0, tol)
 
 
 def trivial_orbit_distance(a: ComplexSignal, b: ComplexSignal, reflection: bool = True) -> float:

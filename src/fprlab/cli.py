@@ -28,9 +28,9 @@ import numpy as np
 
 from .ambiguity import (
     ANCHOR_REL_TOL,
+    anchored_solutions,
     distinct_canonical,
     enumerate_solutions,
-    filter_by_anchor,
     trivial_orbit_distance,
 )
 from .errors import (
@@ -190,22 +190,18 @@ def cmd_enumerate(args) -> int:
         pairing, anchor = parse_pairing(doc)
     else:
         raise KindMismatch("enumerate needs kind 'signal' or 'pairing', got 'pp'")
-    sols = enumerate_solutions(pairing)
-    out: dict = {
+    if anchor is not None:
+        sigs = anchored_solutions(pairing, anchor, tol=args.tol).signals()
+    else:
+        sigs = distinct_canonical(enumerate_solutions(pairing).signals())
+    out = {
         "kind": "solution_set",
         "n": pairing.n_pairs + 1,
-        "total_selections": len(sols.solutions),
+        "total_selections": 1 << pairing.n_pairs,
+        "anchored": anchor is not None,
+        "count": len(sigs),
+        "solutions": [_signal_out(sig) for sig in sigs],
     }
-    if anchor is not None:
-        kept = filter_by_anchor(sols, anchor, tol=args.tol)
-        out["anchored"] = True
-        out["count"] = len(kept.solutions)
-        out["solutions"] = [_signal_out(sig) for _, sig in kept.solutions]
-    else:
-        reps = distinct_canonical(sols.signals())
-        out["anchored"] = False
-        out["count"] = len(reps)
-        out["solutions"] = [_signal_out(sig) for sig in reps]
     _emit_doc(out, args.out)
     return 0
 
@@ -214,8 +210,7 @@ def _ground_truths(doc_kind: str, signal, inst: PRInstance) -> list:
     if doc_kind == "signal":
         return [signal]
     try:
-        sols = enumerate_solutions(inst.pairing, alpha=float(np.angle(inst.anchor)))
-        return [sig for _, sig in filter_by_anchor(sols, inst.anchor).solutions]
+        return anchored_solutions(inst.pairing, inst.anchor).signals()
     except NoFeasibleSolution:
         return []
 
@@ -332,8 +327,7 @@ def _bench_one(task) -> ResultRow:
     try:
         trace = solver(inst, cfg)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        lim = RECOVERY_REL_TOL * float(np.linalg.norm(gt.entries))
-        rec = trivial_orbit_distance(trace.final, gt) <= lim
+        rec = _recovered(trace.final, [gt])
         return ResultRow(iid, name, len(trace.iterates) - 1, float(trace.losses[-1]), rec, wall_ms)
     except FprlabError:
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -471,10 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FprlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FprlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,11 +6,11 @@ import itertools
 
 import numpy as np
 
-from .ambiguity import enumerate_solutions, product_constraint
-from .errors import NoFeasibleSolution
+from .ambiguity import ANCHOR_REL_TOL, anchor_residuals, anchor_threshold
+from .errors import FprlabError, NoFeasibleSolution
 from .hardness import PPInstance, brute_force_pp, enumerate_witnesses
 from .signal_core import ComplexSignal, autocorrelation
-from .ztransform import RootSelection, ZeroPairing, build_S_poly, find_roots, pair_roots
+from .ztransform import ZeroPairing, build_S_poly, find_roots, pair_roots
 
 
 def random_signal(n: int, rng: np.random.Generator, min_edge: float = 0.1) -> ComplexSignal:
@@ -44,7 +44,7 @@ def generic_instance(n: int, rng: np.random.Generator, max_tries: int = 200) -> 
         x = random_signal(n, rng)
         try:
             pairing = pairing_of(x)
-        except Exception:
+        except FprlabError:
             continue
         roots = [g for pair in pairing.pairs for g in pair]
         if any(abs(abs(g) - 1.0) < 1e-3 for g in roots):
@@ -55,14 +55,9 @@ def generic_instance(n: int, rng: np.random.Generator, max_tries: int = 200) -> 
         ):
             continue
         x0 = complex(x.entries[0])
-        residuals = sorted(
-            product_constraint(RootSelection(pairing, choices), x0)
-            for choices in itertools.product((False, True), repeat=pairing.n_pairs)
-        )
-        threshold = 1e-6 * abs(pairing.scale) / abs(x0) ** 2
-        if residuals[0] > threshold * 0.1:
-            continue
-        if len(residuals) > 1 and residuals[1] < 10.0 * threshold:
+        residuals = np.sort(anchor_residuals(pairing, x0))
+        threshold = anchor_threshold(pairing, x0, ANCHOR_REL_TOL)
+        if residuals[0] > threshold * 0.1 or residuals[1] < 10.0 * threshold:
             continue
         return x, pairing
     raise NoFeasibleSolution(f"no clean draw of length {n} in {max_tries} tries")

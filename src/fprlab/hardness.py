@@ -99,7 +99,6 @@ class HardInstance:
     pr: PRInstance | None
     anchor_exact: int
     scale_exact: int
-    ground_truth: ComplexSignal | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +140,10 @@ def _subset_product(values, indices) -> int:
     return out
 
 
-def brute_force_pp(pp: PPInstance, budget: int = BRUTE_FORCE_BUDGET) -> PPDecision:
-    """Exhaustive reference decision in exact integer arithmetic.
-
-    Scans subsets of {1..N-1} in increasing integer encoding (bit k-1
-    is index k) and returns the first Gamma with
-    prod_Gamma^2 == u_N * prod(all of u_1..u_{N-1}), an equivalent,
-    division-free form of the product identity.
+def _witnesses(pp: PPInstance, budget: int):
+    """Solution subsets in increasing integer encoding (bit k-1 is index k),
+    tested by the exact, division-free identity
+    prod_Gamma^2 == u_N * prod(all of u_1..u_{N-1}).
     """
     if pp.n > budget:
         raise BudgetExceeded(f"N={pp.n} exceeds brute-force budget {budget}")
@@ -161,31 +157,19 @@ def brute_force_pp(pp: PPInstance, budget: int = BRUTE_FORCE_BUDGET) -> PPDecisi
             if (v >> k) & 1:
                 gamma_prod *= rest[k]
         if gamma_prod * gamma_prod == target * total:
-            return PPDecision(
-                PPAnswer.HAS_SOLUTION,
-                frozenset(k + 1 for k in range(p) if (v >> k) & 1),
-                (),
-            )
-    return PPDecision(PPAnswer.NO_SOLUTION, None, ())
+            yield frozenset(k + 1 for k in range(p) if (v >> k) & 1)
+
+
+def brute_force_pp(pp: PPInstance, budget: int = BRUTE_FORCE_BUDGET) -> PPDecision:
+    """Exhaustive reference decision: the first witness in encoding order."""
+    witness = next(_witnesses(pp, budget), None)
+    answer = PPAnswer.NO_SOLUTION if witness is None else PPAnswer.HAS_SOLUTION
+    return PPDecision(answer, witness, ())
 
 
 def enumerate_witnesses(pp: PPInstance, budget: int = BRUTE_FORCE_BUDGET) -> list:
     """Every solution subset, in increasing integer encoding."""
-    if pp.n > budget:
-        raise BudgetExceeded(f"N={pp.n} exceeds brute-force budget {budget}")
-    rest = pp.u[:-1]
-    target = pp.u[-1]
-    p = len(rest)
-    total = math.prod(rest)
-    out = []
-    for v in range(1 << p):
-        gamma_prod = 1
-        for k in range(p):
-            if (v >> k) & 1:
-                gamma_prod *= rest[k]
-        if gamma_prod * gamma_prod == target * total:
-            out.append(frozenset(k + 1 for k in range(p) if (v >> k) & 1))
-    return out
+    return list(_witnesses(pp, budget))
 
 
 def _pr_from_values(values, u_last: int, anchor_exact: int, grid_mult: int = 4) -> PRInstance:
@@ -216,7 +200,7 @@ def construct_hard_instance(pp: PPInstance, grid_mult: int = 4, want_float: bool
                 f"u_max^(2N) = {u_max ** (2 * n)} exceeds 2^52; exact mode only"
             )
         pr = _pr_from_values(pp.u[:-1], pp.u[-1], anchor_exact, grid_mult)
-    return HardInstance(pp, pr, anchor_exact, scale_exact, None)
+    return HardInstance(pp, pr, anchor_exact, scale_exact)
 
 
 def _check_witness(pp: PPInstance, gamma_set) -> frozenset:

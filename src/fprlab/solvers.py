@@ -303,16 +303,15 @@ def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None, star
 
 
 def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
-    """Exact solve by enumeration: expand all selections, keep the anchored one.
+    """Exact solve by exhaustive search: test every selection's root product
+    against the anchor and expand only the survivors.
 
     Returns the first anchor-consistent selection in choice-vector order
     as a single-iterate trace. NoFeasibleSolution propagates when the
     anchor rules every selection out; the enumeration budget applies.
     """
     del cfg, start
-    sols = ambiguity.enumerate_solutions(inst.pairing, alpha=float(np.angle(inst.anchor)))
-    feasible = ambiguity.filter_by_anchor(sols, inst.anchor)
-    _, sig = feasible.solutions[0]
+    _, sig = ambiguity.anchored_solutions(inst.pairing, inst.anchor).solutions[0]
     out = sig.entries.copy()
     out[0] = inst.anchor
     found = ComplexSignal(out)

@@ -4,6 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fprlab.ambiguity import (
+    ANCHOR_REL_TOL,
+    anchor_residuals,
+    anchored_solutions,
     canonicalize,
     distinct_canonical,
     enumerate_solutions,
@@ -17,8 +20,18 @@ from fprlab.errors import (
     ZeroAnchor,
     ZeroSignal,
 )
+from fprlab.errors import FprlabError
+from fprlab.generate import random_signal
 from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity, uniform_grid
-from fprlab.ztransform import RootSelection, ZeroPairing, build_S_poly, find_roots, pair_roots
+from fprlab.solvers import PRInstance, oracle_solve
+from fprlab.ztransform import (
+    RootSelection,
+    ZeroPairing,
+    build_S_poly,
+    find_roots,
+    pair_roots,
+    signal_from_selection,
+)
 
 from test_ztransform import signals_with_clean_roots, well_separated
 
@@ -155,10 +168,13 @@ def test_filter_by_anchor_frozen():
     assert np.allclose(kept.solutions[0][1].entries, [9.0, 45.0, 54.0], rtol=1e-9)
     kept = filter_by_anchor(sols, 54.0)
     assert np.allclose(kept.solutions[0][1].entries, [54.0, 45.0, 9.0], rtol=1e-9)
-    with pytest.raises(NoFeasibleSolution):
-        filter_by_anchor(sols, 10.0)
+    for anchored in (lambda x0: filter_by_anchor(sols, x0), lambda x0: anchored_solutions(pairing, x0)):
+        with pytest.raises(NoFeasibleSolution):
+            anchored(10.0)
+        with pytest.raises(ZeroAnchor):
+            anchored(0.0)
     with pytest.raises(ZeroAnchor):
-        filter_by_anchor(sols, 0.0)
+        anchor_residuals(pairing, 0.0)
 
 
 def test_filter_by_anchor_sets_leading_phase():
@@ -188,6 +204,8 @@ def test_enumeration_budget():
     pairing = ZeroPairing(1.0, pairs, flags)
     with pytest.raises(EnumerationBudgetExceeded):
         enumerate_solutions(pairing)
+    with pytest.raises(EnumerationBudgetExceeded):
+        anchored_solutions(pairing, 1.0)
 
 
 def test_choice_vector_encoding_order():
@@ -196,3 +214,69 @@ def test_choice_vector_encoding_order():
     sols = enumerate_solutions(pairing)
     seen = [choices for choices, _ in sols.solutions]
     assert seen == [(False, False), (True, False), (False, True), (True, True)]
+
+
+def _differential_corpus():
+    """Seeded pairings at N = 1..14, each with its true anchor and an inconsistent one.
+
+    N = 14 has 8192 selections, so the residual scan crosses a block boundary.
+    """
+    rng = np.random.default_rng(20220912)
+    corpus = []
+    for n in range(1, 15):
+        for _ in range(24 if n <= 10 else 8 if n <= 13 else 2):
+            x = random_signal(n, rng)
+            if n == 1:
+                pairing = ZeroPairing(complex(autocorrelation(x).entries[0]), (), ())
+            else:
+                try:
+                    _, pairing = pairing_of_signal(x)
+                except FprlabError:
+                    continue
+            x0 = complex(x.entries[0])
+            corpus.append((pairing, x0))
+            corpus.append((pairing, 1.5 * x0))
+    return corpus
+
+
+def _reference_anchored(pairing, x0):
+    """Per-selection product_constraint scan, expanding survivors with alpha = arg(x0)."""
+    p = pairing.n_pairs
+    alpha = float(np.angle(x0))
+    threshold = ANCHOR_REL_TOL * abs(complex(pairing.scale)) / abs(x0) ** 2
+    residuals, keep = [], []
+    for v in range(1 << p):
+        choices = tuple(bool((v >> k) & 1) for k in range(p))
+        sel = RootSelection(pairing, choices, alpha)
+        residuals.append(product_constraint(sel, x0))
+        if residuals[-1] <= threshold:
+            keep.append((choices, signal_from_selection(sel)))
+    return np.array(residuals), keep
+
+
+def test_anchored_scan_matches_per_selection_reference():
+    corpus = _differential_corpus()
+    assert len(corpus) >= 400
+    feasible = 0
+    for pairing, x0 in corpus:
+        ref_res, ref_keep = _reference_anchored(pairing, x0)
+        assert anchor_residuals(pairing, x0).tobytes() == ref_res.tobytes()
+        if not ref_keep:
+            with pytest.raises(NoFeasibleSolution):
+                anchored_solutions(pairing, x0)
+            with pytest.raises(NoFeasibleSolution):
+                oracle_solve(PRInstance.from_pairing(pairing, x0))
+            continue
+        feasible += 1
+        outs = [anchored_solutions(pairing, x0)]
+        if pairing.n_pairs < 8:  # full expansion is slow and filter_by_anchor reads only the pairing
+            outs.append(filter_by_anchor(enumerate_solutions(pairing), x0))
+        for got in outs:
+            assert [c for c, _ in got.solutions] == [c for c, _ in ref_keep]
+            for (_, sig), (_, ref) in zip(got.solutions, ref_keep):
+                assert sig.entries.tobytes() == ref.entries.tobytes()
+        expected = ref_keep[0][1].entries.copy()
+        expected[0] = x0
+        found = oracle_solve(PRInstance.from_pairing(pairing, x0)).final
+        assert found.entries.tobytes() == expected.tobytes()
+    assert feasible >= len(corpus) // 2
