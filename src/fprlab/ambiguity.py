@@ -48,6 +48,17 @@ def _check_budget(pairing: ZeroPairing) -> int:
     return p
 
 
+def _choice_blocks(pairing: ZeroPairing):
+    """Yield (lo, betas) for the choice-vector codes in blocks of
+    2^RESIDUAL_BLOCK_BITS; row i of betas holds the roots code lo + i picks."""
+    p = pairing.n_pairs
+    gh = np.array(pairing.pairs, dtype=np.complex128).reshape(p, 2)
+    total = 1 << p
+    for lo in range(0, total, 1 << RESIDUAL_BLOCK_BITS):
+        v = np.arange(lo, min(lo + (1 << RESIDUAL_BLOCK_BITS), total))
+        yield lo, np.where((v[:, None] >> np.arange(p)) & 1, gh[:, 0], gh[:, 1])
+
+
 def _expand(pairing: ZeroPairing, codes, alpha: float) -> SolutionSet:
     """Expand the selections with the given integer encodings, in that order."""
     out = []
@@ -57,13 +68,45 @@ def _expand(pairing: ZeroPairing, codes, alpha: float) -> SolutionSet:
     return SolutionSet(pairing, tuple(out))
 
 
+def _expand_rows(scale: complex, betas: np.ndarray) -> np.ndarray:
+    """signal_from_selection (alpha = 0) of every row of betas, as (B, p+1) entries.
+
+    Bitwise equal to that reference. np.poly multiplies in one factor
+    (z - beta) per pair; with w = -beta, coefficient j becomes
+    a[j-1]*w + a[j], and the loop below spells out the real operations in
+    the order np.convolve's complex dot (OpenBLAS zdotu) performs them.
+    Rows whose roots are closed under conjugation get np.poly's real branch.
+    """
+    b, p = betas.shape
+    re = np.zeros((p + 1, b))
+    im = np.zeros((p + 1, b))
+    re[0] = 1.0
+    wr, wi = np.ascontiguousarray(-betas.real.T), np.ascontiguousarray(-betas.imag.T)
+    for k in range(p):
+        pr, pi, cr, ci = re[: k + 1], im[: k + 1], re[1 : k + 2], im[1 : k + 2]
+        re[1 : k + 2], im[1 : k + 2] = (pr * wr[k] + cr) - pi * wi[k], pr * wi[k] + (pi * wr[k] + ci)
+    im[:, np.all(np.sort(betas, axis=1) == np.sort(betas.conj(), axis=1), axis=1)] = 0.0
+    coeffs = np.empty((b, p + 1), np.complex128)
+    coeffs.real, coeffs.imag = re.T, im.T
+    # exp(1j * 0) * gain is (gain, +0), the complex value gain promotes to
+    gain = np.sqrt(abs(scale)) / np.sqrt(np.prod(np.abs(betas), axis=1))
+    return gain[:, None] * coeffs
+
+
 def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
     """Expand every root selection, ordered by choice-vector integer encoding.
 
     Bit k of the encoding picks gamma (True) or gamma_recip (False) for
-    pair k. Raises EnumerationBudgetExceeded past 24 pairs.
+    pair k. The signals are built as arrays, block by block, bitwise equal
+    to signal_from_selection. Raises EnumerationBudgetExceeded past 24 pairs.
     """
-    return _expand(pairing, range(1 << _check_budget(pairing)), 0.0)
+    choices = [()]
+    for _ in range(_check_budget(pairing)):
+        choices = [c + (False,) for c in choices] + [c + (True,) for c in choices]
+    signals = []
+    for _, betas in _choice_blocks(pairing):
+        signals.extend(ComplexSignal(row) for row in _expand_rows(pairing.scale, betas))
+    return SolutionSet(pairing, tuple(zip(choices, signals)))
 
 
 def _phase_fixed(e: np.ndarray) -> np.ndarray:
@@ -126,12 +169,10 @@ def anchor_residuals(pairing: ZeroPairing, x0: complex) -> np.ndarray:
     if x0 == 0:
         raise ZeroAnchor("x(0) = 0 cannot anchor")
     target = complex(pairing.scale) / abs(x0) ** 2
-    neg = -np.array(pairing.pairs, dtype=np.complex128).reshape(p, 2)
     out = np.empty(1 << p)
-    for lo in range(0, out.size, 1 << RESIDUAL_BLOCK_BITS):
-        v = np.arange(lo, min(lo + (1 << RESIDUAL_BLOCK_BITS), out.size))
-        d = np.prod(np.where((v[:, None] >> np.arange(p)) & 1, neg[:, 0], neg[:, 1]), axis=1) - target
-        out[lo : lo + v.size] = np.hypot(d.real, d.imag)
+    for lo, betas in _choice_blocks(pairing):
+        d = np.prod(-betas, axis=1) - target
+        out[lo : lo + d.size] = np.hypot(d.real, d.imag)
     return out
 
 

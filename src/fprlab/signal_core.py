@@ -40,7 +40,7 @@ class ComplexSignal:
         arr = _frozen_array(self.entries, np.complex128)
         if arr.size < 1:
             raise ValueError("signal needs at least one entry")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("signal entries must be finite")
         if self.full_support and (arr[0] == 0 or arr[-1] == 0):
             raise ValueError("full_support signal requires nonzero end entries")
@@ -72,7 +72,7 @@ class Autocorrelation:
         arr = _frozen_array(self.entries, np.complex128)
         if arr.size < 1:
             raise ValueError("autocorrelation needs at least one lag")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("autocorrelation lags must be finite")
         object.__setattr__(self, "entries", arr)
 
@@ -103,7 +103,7 @@ class SpectrumSamples:
             raise ValueError("omegas and values must have equal length")
         if om.size < 1:
             raise ValueError("at least one sample required")
-        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(vals))):
+        if not (np.isfinite(om).all() and np.isfinite(vals).all()):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "omegas", om)
         object.__setattr__(self, "values", vals)

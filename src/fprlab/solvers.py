@@ -8,7 +8,8 @@ schemes and one exact enumeration oracle share the instance type:
   the support-plus-anchor subspace; its amplitude loss never increases.
 - hybrid input-output: the classic feedback relaxation; not monotone.
 - Wirtinger flow: plain gradient descent on the squared intensity misfit.
-- oracle: enumerate all selections, keep the anchor-consistent one.
+- oracle: test the root product of every selection against the anchor
+  and expand only the survivor.
 
 Iterative schemes run on a copy of the instance rescaled so r(0) = 1 and
 report iterates and losses in original units; every reported iterate has

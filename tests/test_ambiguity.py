@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -280,3 +283,50 @@ def test_anchored_scan_matches_per_selection_reference():
         found = oracle_solve(PRInstance.from_pairing(pairing, x0)).final
         assert found.entries.tobytes() == expected.tobytes()
     assert feasible >= len(corpus) // 2
+
+
+def _real_polynomial_pairings():
+    """Pairings with selections whose roots are closed under conjugation.
+
+    Real roots (-u, -1/u), u in 2..6, as the product-partition embedding
+    builds them, and exact conjugate partners (g, h), (conj g, conj h).
+    """
+    for n in range(1, 5):
+        for us in itertools.combinations_with_replacement(range(2, 7), n):
+            yield ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us), (False,) * n)
+    for g in (1 + 2j, -0.5 + 1.5j, 3 - 1j, 0.25 - 0.75j):
+        h = 1 / np.conj(g)
+        pairs = ((g, h), (np.conj(g), np.conj(h)), (-2.0, -0.5))
+        yield ZeroPairing(3.0, pairs, (False,) * 3)
+        yield ZeroPairing(2.0 - 1.0j, pairs + ((g * 1j, h * 1j), (np.conj(g * 1j), np.conj(h * 1j))), (False,) * 5)
+
+
+def test_enumeration_matches_per_selection_reference():
+    """enumerate_solutions equals a signal_from_selection loop bit for bit.
+
+    Every code of the first 4 corpus pairings of each size up to 10 pairs
+    (more would cost seconds of reference expansion), a stride through
+    both 13-pair pairings that takes in codes 4095 and 4096 on either side
+    of the block boundary, pairings that reach np.poly's real branch, the
+    flagged self-pair of [1, -1], and the empty pairing.
+    """
+    cases, taken = [], Counter()
+    for pairing, _ in _differential_corpus()[::2]:
+        p = pairing.n_pairs
+        if p <= 10 and taken[p] < 4:
+            taken[p] += 1
+            cases.append((pairing, range(1 << p)))
+        elif p == 13:
+            cases.append((pairing, sorted({*range(0, 1 << p, 97), 4095, 4096, (1 << p) - 1})))
+    cases += [(pairing, range(1 << pairing.n_pairs)) for pairing in _real_polynomial_pairings()]
+    _, flagged = pairing_of_signal(ComplexSignal(np.array([1.0, -1.0])))
+    assert flagged.unit_circle_flags == (True,)
+    cases += [(flagged, range(2)), (ZeroPairing(-4.0 + 3.0j, (), ()), range(1))]
+    for pairing, codes in cases:
+        got = enumerate_solutions(pairing).solutions
+        assert len(got) == 1 << pairing.n_pairs
+        for v in codes:
+            choices = tuple(bool((v >> k) & 1) for k in range(pairing.n_pairs))
+            ref = signal_from_selection(RootSelection(pairing, choices))
+            assert got[v][0] == choices
+            assert got[v][1].entries.tobytes() == ref.entries.tobytes()
