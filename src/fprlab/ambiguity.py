@@ -105,7 +105,7 @@ def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
         choices = [c + (False,) for c in choices] + [c + (True,) for c in choices]
     signals = []
     for _, betas in _choice_blocks(pairing):
-        signals.extend(ComplexSignal(row) for row in _expand_rows(pairing.scale, betas))
+        signals.extend(ComplexSignal.from_rows(_expand_rows(pairing.scale, betas)))
     return SolutionSet(pairing, tuple(zip(choices, signals)))
 
 

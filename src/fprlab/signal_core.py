@@ -4,7 +4,9 @@ The three types here are tied together by exact identities: the intensity
 of a signal on a frequency grid equals the trigonometric sum of its
 autocorrelation on that grid, and a fine enough uniform grid determines
 the autocorrelation back again. Everything is a pure function on
-immutable values; arrays held by the dataclasses are read-only.
+immutable values; arrays held by the dataclasses are read-only. Signals
+built in bulk by ComplexSignal.from_rows share one read-only copy of
+their block, so a single kept signal keeps its whole block alive.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _checked_entries(arr: np.ndarray) -> np.ndarray:
+    """Check and freeze a private complex128 copy; each row along the
+    last axis holds one signal's entries."""
+    if arr.shape[-1] < 1:
+        raise ValueError("signal needs at least one entry")
+    if not np.isfinite(arr).all():
+        raise ValueError("signal entries must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexSignal:
     """A finite complex sequence x(0..N-1), N >= 1.
@@ -37,14 +50,29 @@ class ComplexSignal:
     full_support: bool = False
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries, np.complex128)
-        if arr.size < 1:
-            raise ValueError("signal needs at least one entry")
-        if not np.isfinite(arr).all():
-            raise ValueError("signal entries must be finite")
+        arr = _checked_entries(np.array(self.entries, dtype=np.complex128, copy=True).reshape(-1))
         if self.full_support and (arr[0] == 0 or arr[-1] == 0):
             raise ValueError("full_support signal requires nonzero end entries")
         object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def from_rows(cls, rows) -> list:
+        """One signal per row of a 2-D block, entry for entry equal to
+        ComplexSignal(row), with full_support=False.
+
+        The block is copied, checked and frozen once; each signal holds a
+        read-only row view of that private copy.
+        """
+        block = np.array(rows, dtype=np.complex128, copy=True)
+        if block.ndim != 2:
+            raise ValueError("rows must form a 2-D block")
+        out = []
+        for row in _checked_entries(block):
+            sig = object.__new__(cls)
+            object.__setattr__(sig, "entries", row)
+            object.__setattr__(sig, "full_support", False)
+            out.append(sig)
+        return out
 
     @property
     def n(self) -> int:

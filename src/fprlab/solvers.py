@@ -121,7 +121,7 @@ class IterateTrace:
         losses = np.array(self.losses, dtype=np.float64).reshape(-1)
         if len(self.iterates) != losses.size:
             raise ValueError("one loss per iterate required")
-        if losses.size and not np.all(np.isfinite(losses)):
+        if losses.size and not np.isfinite(losses).all():
             raise ValueError("losses must be finite")
         if losses.size and np.any(losses < 0):
             raise ValueError("losses must be nonnegative")
@@ -186,10 +186,11 @@ def _normalized_setup(inst: PRInstance, cfg: SolverConfig, start):
     return field, target, anchor_n, r0
 
 
-def _emit(inst: PRInstance, z_norm: np.ndarray) -> ComplexSignal:
-    out = inst.normalization * z_norm
-    out[0] = inst.anchor
-    return ComplexSignal(out)
+def _emit(inst: PRInstance, rows: list) -> list:
+    """One run's normalized iterates in original units, anchor imposed."""
+    out = inst.normalization * np.array(rows)
+    out[:, 0] = inst.anchor
+    return ComplexSignal.from_rows(out)
 
 
 def _mag_project(field_hat: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -209,12 +210,12 @@ def error_reduction_solve(inst: PRInstance, cfg: SolverConfig | None = None, sta
     cfg = cfg or SolverConfig()
     field, target, anchor_n, r0 = _normalized_setup(inst, cfg, start)
     n = inst.n
-    iterates, losses = [], []
+    rows, losses = [], []
     converged = False
     for k in range(cfg.max_iters + 1):
         fh = np.fft.fft(field)
         loss = r0 * float(np.sum((np.abs(fh) - target) ** 2))
-        iterates.append(_emit(inst, field[:n].copy()))
+        rows.append(field[:n].copy())
         losses.append(loss)
         if loss <= cfg.loss_tol:
             converged = True
@@ -225,7 +226,7 @@ def error_reduction_solve(inst: PRInstance, cfg: SolverConfig | None = None, sta
         field = np.zeros_like(field)
         field[:n] = w[:n]
         field[0] = anchor_n
-    return IterateTrace(tuple(iterates), np.array(losses), converged)
+    return IterateTrace(_emit(inst, rows), np.array(losses), converged)
 
 
 def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
@@ -242,7 +243,7 @@ def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexS
     field, target, anchor_n, r0 = _normalized_setup(inst, cfg, start)
     n = inst.n
     beta = cfg.beta_hio
-    iterates, losses = [], []
+    rows, losses = [], []
     converged = False
     for k in range(cfg.max_iters + 1):
         fh = np.fft.fft(field)
@@ -251,7 +252,7 @@ def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexS
         rep[0] = anchor_n
         rep_hat = np.fft.fft(rep, n=field.size)
         loss = r0 * float(np.sum((np.abs(rep_hat) - target) ** 2))
-        iterates.append(_emit(inst, rep.copy()))
+        rows.append(rep.copy())
         losses.append(loss)
         if loss <= cfg.loss_tol:
             converged = True
@@ -263,7 +264,7 @@ def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexS
         nxt[0] = field[0] - beta * (w[0] - anchor_n)
         nxt[n:] = field[n:] - beta * w[n:]
         field = nxt
-    return IterateTrace(tuple(iterates), np.array(losses), converged)
+    return IterateTrace(_emit(inst, rows), np.array(losses), converged)
 
 
 def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
@@ -278,7 +279,7 @@ def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None, star
     m = field.size
     r_target = target ** 2
     z = field[:n].copy()
-    iterates, losses = [], []
+    rows, losses = [], []
     converged = False
     loss0 = None
     for k in range(cfg.max_iters + 1):
@@ -290,7 +291,7 @@ def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None, star
             loss0 = max(loss_n, np.finfo(float).tiny)
         if not np.isfinite(loss_n) or loss_n > 1e12 * loss0:
             raise StepDiverged(f"intensity loss reached {loss_n:.3e} from {loss0:.3e}")
-        iterates.append(_emit(inst, z.copy()))
+        rows.append(z.copy())
         losses.append(loss)
         if loss <= cfg.loss_tol:
             converged = True
@@ -300,7 +301,7 @@ def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None, star
         grad = 4.0 * m * np.fft.ifft(diff * zh)[:n]
         z = z - cfg.step_size * grad
         z[0] = anchor_n
-    return IterateTrace(tuple(iterates), np.array(losses), converged)
+    return IterateTrace(_emit(inst, rows), np.array(losses), converged)
 
 
 def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:

@@ -49,7 +49,7 @@ class PolyCoeffs:
         arr = np.array(self.coeffs, dtype=np.complex128, copy=True).reshape(-1)
         if arr.size < 1:
             raise ValueError("polynomial needs at least one coefficient")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         nz = np.nonzero(arr)[0]
         if nz.size == 0:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from fprlab.ambiguity import enumerate_solutions, filter_by_anchor
+from fprlab.ambiguity import anchored_solutions
 from fprlab.generate import (
     all_pp_instances,
     generic_instance,
@@ -35,7 +35,7 @@ def test_generic_instance_is_unambiguous():
         for g, h in pairing.pairs:
             assert abs(abs(g) - 1.0) >= 1e-3
             assert abs(abs(h) - 1.0) >= 1e-3
-        kept = filter_by_anchor(enumerate_solutions(pairing), complex(x.entries[0]))
+        kept = anchored_solutions(pairing, complex(x.entries[0]))
         assert len(kept.solutions) == 1
 
 

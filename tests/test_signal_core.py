@@ -166,6 +166,44 @@ def test_arrays_are_read_only():
         r.entries[0] = 5.0
 
 
+def test_from_rows_contract():
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+    block[2] = [0.0, -0.0, 1e-300, -1e300]
+    for rows in (block, block.real, np.arange(12).reshape(3, 4), block.tolist()):
+        sigs = ComplexSignal.from_rows(rows)
+        assert len(sigs) == len(rows)
+        for sig, row in zip(sigs, rows):
+            assert sig.entries.tobytes() == ComplexSignal(row).entries.tobytes()
+            assert sig.n == 4 and sig.full_support is False
+    kept = block.copy()
+    sigs = ComplexSignal.from_rows(block)
+    block[:] = 99.0
+    for sig, row in zip(sigs, kept):
+        assert sig.entries.tobytes() == row.tobytes()
+        assert not sig.entries.flags.writeable
+        with pytest.raises(ValueError):
+            sig.entries[0] = 5.0
+        with pytest.raises(ValueError):
+            sig.entries.setflags(write=True)
+
+
+def test_from_rows_checks_the_whole_block():
+    with pytest.raises(ValueError, match="signal needs at least one entry"):
+        ComplexSignal.from_rows(np.empty((3, 0)))
+    with pytest.raises(ValueError, match="2-D"):
+        ComplexSignal.from_rows(np.ones(3))
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)):
+        for i in range(3):
+            for j in range(2):
+                block = np.ones((3, 2), dtype=np.complex128)
+                block[i, j] = bad
+                with pytest.raises(ValueError, match="signal entries must be finite"):
+                    ComplexSignal.from_rows(block)
+                with pytest.raises(ValueError, match="signal entries must be finite"):
+                    ComplexSignal(block[i])
+
+
 def test_spectrum_samples_validation():
     with pytest.raises(ValueError):
         SpectrumSamples(np.array([0.0, 1.0]), np.array([1.0]))

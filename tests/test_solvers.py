@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,25 @@ def test_anchor_held_exactly_on_every_iterate():
         tr = solver(inst, cfg)
         for it in tr.iterates:
             assert complex(it.entries[0]) == complex(inst.anchor)
+
+
+# sha256 over the entries bytes of every recorded iterate (ER/HIO/WF, 40
+# iterations): any change to a recorded value, not just the final one, shows.
+FROZEN_TRACE_SHA256 = {
+    error_reduction_solve: "4dc5fc1406d92d382ec1b355017b3bf0f38b76a89d6a58ab403b2fce3dd32733",
+    hio_solve: "c9498769c930d2d20fa352594cc0964b0be6f9c2e0f8c89ee02f804c1cf58a82",
+    wirtinger_flow_solve: "5a86969df5ed127c681a03a67960a9161a18c557e73ce21dfaf54a5df3a8b41b",
+}
+
+
+def test_every_iterate_frozen():
+    inst = PRInstance.from_signal(random_full_support(5, 11))
+    cfg = SolverConfig(max_iters=40, step_size=1e-4, seed=3)
+    for solver, want in FROZEN_TRACE_SHA256.items():
+        tr = solver(inst, cfg)
+        assert len(tr.iterates) == 41
+        got = hashlib.sha256(b"".join(it.entries.tobytes() for it in tr.iterates)).hexdigest()
+        assert got == want, solver.__name__
 
 
 def test_losses_reported_in_original_units():
