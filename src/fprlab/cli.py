@@ -18,10 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +52,14 @@ from .ztransform import ZeroPairing
 RECOVERY_REL_TOL = 1e-6
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _complex_in(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
@@ -309,17 +307,6 @@ def _csv_line(row: ResultRow) -> str:
     )
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("FPRLAB_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ParseError("FPRLAB_THREADS must be an integer") from exc
-        return max(1, cap)
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def _bench_one(task) -> ResultRow:
     iid, name, inst, gt, cfg = task
     solver = SOLVERS[name]
@@ -366,8 +353,7 @@ def cmd_bench(args) -> int:
                 )
                 tasks.append((iid, name, inst, gt, cfg))
 
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        rows = list(pool.map(_bench_one, tasks))
+    rows = [_bench_one(t) for t in tasks]
     rows.sort(key=lambda r: (r.instance_id, r.solver))
 
     lines = [CSV_HEADER] + [_csv_line(r) for r in rows]

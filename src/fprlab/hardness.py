@@ -348,10 +348,6 @@ def decide_pp(
     u_max = pp.u_max
     survivors = [(k, pp.u[k - 1]) for k in range(1, pp.n)]
     removed: list = []
-    gamma1: list = []
-    gamma2: list = []
-    g1_vals: list = []
-    g2_vals: list = []
     while survivors:
         gamma1, gamma2, g1_vals, g2_vals = [], [], [], []
         n_cur = len(survivors) + 1

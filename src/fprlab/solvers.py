@@ -14,12 +14,18 @@ schemes and one exact enumeration oracle share the instance type:
 Iterative schemes run on a copy of the instance rescaled so r(0) = 1 and
 report iterates and losses in original units; every reported iterate has
 z(0) = x0 exactly (the anchor projection is applied last).
+
+Each iterative scheme is a generator of passes, one (iterate, loss) per
+pass, and one driver runs all three under one stop rule: a run stops
+after the first pass whose loss is <= loss_tol (converged) or after
+max_iters + 1 passes, that is max_iters updates, whichever comes first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -57,14 +63,20 @@ class PRInstance:
         return self.pairing.n_pairs + 1
 
     @classmethod
-    def from_pairing(cls, pairing: ZeroPairing, anchor: complex, grid_mult: int = 4) -> "PRInstance":
-        """Build the uniform sample grid (M = grid_mult * N, at least 2N-1) from a pairing."""
-        n = pairing.n_pairs + 1
-        m = max(grid_mult * n, 2 * n - 1)
-        om = uniform_grid(m)
-        vals = spectrum_from_pairing(pairing, om)
+    def _sampled(cls, pairing: ZeroPairing, anchor: complex, n: int, grid_mult: int, intensity) -> "PRInstance":
+        """Sample intensity(omegas) on the uniform grid of M = grid_mult * n
+        (at least 2n-1) points; the normalization sqrt(mean of the samples)
+        is sqrt(r(0)) on such a grid."""
+        om = uniform_grid(max(grid_mult * n, 2 * n - 1))
+        vals = intensity(om)
         norm = math.sqrt(max(float(np.mean(vals)), np.finfo(float).tiny))
         return cls(pairing, anchor, SpectrumSamples(om, vals), norm)
+
+    @classmethod
+    def from_pairing(cls, pairing: ZeroPairing, anchor: complex, grid_mult: int = 4) -> "PRInstance":
+        """Build the uniform sample grid (M = grid_mult * N, at least 2N-1) from a pairing."""
+        return cls._sampled(pairing, anchor, pairing.n_pairs + 1, grid_mult,
+                            lambda om: spectrum_from_pairing(pairing, om))
 
     @classmethod
     def from_signal(cls, x: ComplexSignal, grid_mult: int = 4, pairing: ZeroPairing | None = None) -> "PRInstance":
@@ -75,12 +87,9 @@ class PRInstance:
         r = autocorrelation(x)
         if pairing is None:
             pairing = pair_roots(find_roots(build_S_poly(r)), r.entries[r.n - 1])
-        m = max(grid_mult * x.n, 2 * x.n - 1)
-        om = uniform_grid(m)
-        scale = float(np.sum(np.abs(r.entries))) + 1.0
-        vals = np.maximum(spectrum_from_autocorr(r, om, tol=1e-9 * scale).values, 0.0)
-        norm = math.sqrt(max(float(np.mean(vals)), np.finfo(float).tiny))
-        return cls(pairing, complex(x.entries[0]), SpectrumSamples(om, vals), norm)
+        tol = 1e-9 * (float(np.sum(np.abs(r.entries))) + 1.0)
+        return cls._sampled(pairing, complex(x.entries[0]), x.n, grid_mult,
+                            lambda om: np.maximum(spectrum_from_autocorr(r, om, tol=tol).values, 0.0))
 
 
 @dataclass(frozen=True)
@@ -193,10 +202,39 @@ def _emit(inst: PRInstance, rows: list) -> list:
     return ComplexSignal.from_rows(out)
 
 
+def _drive(passes, inst: PRInstance, cfg: SolverConfig | None, start) -> IterateTrace:
+    """Run one scheme's pass generator under the shared stop rule.
+
+    passes(n, cfg, field, target, anchor_n, r0) yields one (normalized
+    row, loss in original units) per pass. islice never resumes it past
+    the last allowed pass, so no update beyond the reported iterates is
+    computed.
+    """
+    cfg = cfg or SolverConfig()
+    setup = _normalized_setup(inst, cfg, start)
+    rows, losses = [], []
+    for row, loss in islice(passes(inst.n, cfg, *setup), cfg.max_iters + 1):
+        rows.append(row)
+        losses.append(loss)
+        if loss <= cfg.loss_tol:
+            break
+    return IterateTrace(_emit(inst, rows), np.array(losses), losses[-1] <= cfg.loss_tol)
+
+
 def _mag_project(field_hat: np.ndarray, target: np.ndarray) -> np.ndarray:
     mags = np.abs(field_hat)
     phase = np.where(mags > 0, field_hat / np.where(mags > 0, mags, 1.0), 1.0 + 0j)
     return target * phase
+
+
+def _er_passes(n, cfg, field, target, anchor_n, r0):
+    while True:
+        fh = np.fft.fft(field)
+        yield field[:n].copy(), r0 * float(np.sum((np.abs(fh) - target) ** 2))
+        w = np.fft.ifft(_mag_project(fh, target))
+        field = np.zeros_like(field)
+        field[:n] = w[:n]
+        field[0] = anchor_n
 
 
 def error_reduction_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
@@ -207,26 +245,23 @@ def error_reduction_solve(inst: PRInstance, cfg: SolverConfig | None = None, sta
     metric projections in the padded coordinate space, which is what
     yields the monotone loss.
     """
-    cfg = cfg or SolverConfig()
-    field, target, anchor_n, r0 = _normalized_setup(inst, cfg, start)
-    n = inst.n
-    rows, losses = [], []
-    converged = False
-    for k in range(cfg.max_iters + 1):
+    return _drive(_er_passes, inst, cfg, start)
+
+
+def _hio_passes(n, cfg, field, target, anchor_n, r0):
+    beta = cfg.beta_hio
+    while True:
         fh = np.fft.fft(field)
-        loss = r0 * float(np.sum((np.abs(fh) - target) ** 2))
-        rows.append(field[:n].copy())
-        losses.append(loss)
-        if loss <= cfg.loss_tol:
-            converged = True
-            break
-        if k == cfg.max_iters:
-            break
         w = np.fft.ifft(_mag_project(fh, target))
-        field = np.zeros_like(field)
-        field[:n] = w[:n]
-        field[0] = anchor_n
-    return IterateTrace(_emit(inst, rows), np.array(losses), converged)
+        rep = w[:n].copy()
+        rep[0] = anchor_n
+        rep_hat = np.fft.fft(rep, n=field.size)
+        yield rep, r0 * float(np.sum((np.abs(rep_hat) - target) ** 2))
+        nxt = np.empty_like(field)
+        nxt[:n] = w[:n]
+        nxt[0] = field[0] - beta * (w[0] - anchor_n)
+        nxt[n:] = field[n:] - beta * w[n:]
+        field = nxt
 
 
 def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
@@ -239,32 +274,26 @@ def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexS
     support-truncated outputs with the anchor imposed; no loss
     monotonicity is promised.
     """
-    cfg = cfg or SolverConfig()
-    field, target, anchor_n, r0 = _normalized_setup(inst, cfg, start)
-    n = inst.n
-    beta = cfg.beta_hio
-    rows, losses = [], []
-    converged = False
-    for k in range(cfg.max_iters + 1):
-        fh = np.fft.fft(field)
-        w = np.fft.ifft(_mag_project(fh, target))
-        rep = w[:n].copy()
-        rep[0] = anchor_n
-        rep_hat = np.fft.fft(rep, n=field.size)
-        loss = r0 * float(np.sum((np.abs(rep_hat) - target) ** 2))
-        rows.append(rep.copy())
-        losses.append(loss)
-        if loss <= cfg.loss_tol:
-            converged = True
-            break
-        if k == cfg.max_iters:
-            break
-        nxt = np.empty_like(field)
-        nxt[:n] = w[:n]
-        nxt[0] = field[0] - beta * (w[0] - anchor_n)
-        nxt[n:] = field[n:] - beta * w[n:]
-        field = nxt
-    return IterateTrace(_emit(inst, rows), np.array(losses), converged)
+    return _drive(_hio_passes, inst, cfg, start)
+
+
+def _wf_passes(n, cfg, field, target, anchor_n, r0):
+    m = field.size
+    r_target = target ** 2
+    z = field[:n].copy()
+    loss0 = None
+    while True:
+        zh = np.fft.fft(z, n=m)
+        diff = np.abs(zh) ** 2 - r_target
+        loss_n = float(np.sum(diff ** 2))
+        if loss0 is None:
+            loss0 = max(loss_n, np.finfo(float).tiny)
+        if not np.isfinite(loss_n) or loss_n > 1e12 * loss0:
+            raise StepDiverged(f"intensity loss reached {loss_n:.3e} from {loss0:.3e}")
+        yield z, r0 ** 2 * loss_n
+        grad = 4.0 * m * np.fft.ifft(diff * zh)[:n]
+        z = z - cfg.step_size * grad
+        z[0] = anchor_n
 
 
 def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
@@ -273,35 +302,7 @@ def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None, star
     Raises StepDiverged once the loss exceeds 1e12 times its initial
     value (or stops being finite).
     """
-    cfg = cfg or SolverConfig()
-    field, target, anchor_n, r0 = _normalized_setup(inst, cfg, start)
-    n = inst.n
-    m = field.size
-    r_target = target ** 2
-    z = field[:n].copy()
-    rows, losses = [], []
-    converged = False
-    loss0 = None
-    for k in range(cfg.max_iters + 1):
-        zh = np.fft.fft(z, n=m)
-        diff = np.abs(zh) ** 2 - r_target
-        loss_n = float(np.sum(diff ** 2))
-        loss = r0 ** 2 * loss_n
-        if loss0 is None:
-            loss0 = max(loss_n, np.finfo(float).tiny)
-        if not np.isfinite(loss_n) or loss_n > 1e12 * loss0:
-            raise StepDiverged(f"intensity loss reached {loss_n:.3e} from {loss0:.3e}")
-        rows.append(z.copy())
-        losses.append(loss)
-        if loss <= cfg.loss_tol:
-            converged = True
-            break
-        if k == cfg.max_iters:
-            break
-        grad = 4.0 * m * np.fft.ifft(diff * zh)[:n]
-        z = z - cfg.step_size * grad
-        z[0] = anchor_n
-    return IterateTrace(_emit(inst, rows), np.array(losses), converged)
+    return _drive(_wf_passes, inst, cfg, start)
 
 
 def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:

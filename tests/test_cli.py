@@ -56,6 +56,21 @@ def test_malformed_inputs(tmp_path, capsys):
     assert run(capsys, ["autocorr", str(tmp_path / "missing.json")])[0] == 2
 
 
+def test_booleans_are_not_numbers(tmp_path, capsys):
+    # bool is an int subclass in Python; JSON true/false must not pass as 1/0
+    bad_entries = {"kind": "signal", "entries": [True, [False, True], 2]}
+    code, _, err = run(capsys, ["autocorr", write(tmp_path, "entries.json", bad_entries)])
+    assert code == 2
+    assert "entries[0]" in err
+    code, _, err = run(capsys, ["enumerate", write(tmp_path, "scale.json", dict(PAIRING_3, scale=True))])
+    assert code == 2
+    assert "scale" in err
+    bad_anchor = dict(PAIRING_3, anchor=[True, False])
+    code, _, err = run(capsys, ["enumerate", write(tmp_path, "anchor.json", bad_anchor)])
+    assert code == 2
+    assert "anchor" in err
+
+
 def test_enumerate_signal(tmp_path, capsys):
     path = write(tmp_path, "sig3.json", SIGNAL_3)
     code, out, _ = run(capsys, ["enumerate", path])
@@ -147,13 +162,11 @@ def test_decide_duplicate_instance(tmp_path, capsys):
     assert doc["removed_pairs"] == [[1, 2]]
 
 
-def test_bench_csv_deterministic(tmp_path, capsys, monkeypatch):
+def test_bench_csv_deterministic(tmp_path, capsys):
     args = ["bench", "--sizes", "3", "--trials", "2", "--iters", "30", "--solvers", "oracle,er"]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    monkeypatch.setenv("FPRLAB_THREADS", "1")
     assert main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("FPRLAB_THREADS", "3")
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()

@@ -119,6 +119,13 @@ FROZEN_TRACE_SHA256 = {
     wirtinger_flow_solve: "5a86969df5ed127c681a03a67960a9161a18c557e73ce21dfaf54a5df3a8b41b",
 }
 
+# sha256 over the losses bytes of the same runs.
+FROZEN_LOSSES_SHA256 = {
+    error_reduction_solve: "47c01b4f525b0cf0b9c961a85922dc112b8eeb3f578b1104d12cefbe531258bf",
+    hio_solve: "d2343571cc98936fd3270ffd7dd15ad97a0ebe6e49fc4ea09ca2935451e80bf0",
+    wirtinger_flow_solve: "6796df102042e6e7243bc46706edda27ea6d3fe58528a8c8eb983f629eb62971",
+}
+
 
 def test_every_iterate_frozen():
     inst = PRInstance.from_signal(random_full_support(5, 11))
@@ -128,6 +135,28 @@ def test_every_iterate_frozen():
         assert len(tr.iterates) == 41
         got = hashlib.sha256(b"".join(it.entries.tobytes() for it in tr.iterates)).hexdigest()
         assert got == want, solver.__name__
+        got = hashlib.sha256(tr.losses.tobytes()).hexdigest()
+        assert got == FROZEN_LOSSES_SHA256[solver], solver.__name__
+
+
+@pytest.mark.parametrize("solver", [error_reduction_solve, hio_solve, wirtinger_flow_solve])
+def test_stop_rule_is_a_prefix_of_the_full_run(solver):
+    inst = PRInstance.from_signal(random_full_support(5, 11))
+    full = solver(inst, SolverConfig(max_iters=40, loss_tol=0.0, step_size=1e-4, seed=3))
+    assert len(full.losses) == 41
+    assert not full.converged
+    stops = []
+    for tol in (full.losses[20], full.losses[-1]):
+        tr = solver(inst, SolverConfig(max_iters=40, loss_tol=tol, step_size=1e-4, seed=3))
+        stop = int(np.flatnonzero(full.losses <= tol)[0])
+        stops.append(stop)
+        assert len(tr.losses) == stop + 1
+        assert tr.converged
+        assert tr.losses.tobytes() == full.losses[: stop + 1].tobytes()
+        for got, want in zip(tr.iterates, full.iterates):
+            assert got.entries.tobytes() == want.entries.tobytes()
+    # one stop inside the run, one exactly at the last allowed pass
+    assert stops[0] < 40 == stops[1]
 
 
 def test_losses_reported_in_original_units():
