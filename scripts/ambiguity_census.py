@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from fprlab.ambiguity import distinct_canonical, enumerate_solutions, filter_by_anchor
+from fprlab.ambiguity import anchored_solutions, distinct_canonical, enumerate_solutions
 from fprlab.generate import generic_instance
 
 
@@ -23,7 +23,7 @@ def census_row(n, draws, rng):
         sols = enumerate_solutions(pairing)
         raw.add(len(sols.solutions))
         classes.add(len(distinct_canonical(sols.signals())))
-        kept = filter_by_anchor(sols, complex(x.entries[0]))
+        kept = anchored_solutions(pairing, complex(x.entries[0]))
         anchored.add(len(kept.solutions))
     return raw, classes, anchored
 

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ from .signal_core import (
     spectrum_from_autocorr,
     uniform_grid,
 )
-from .solvers import SOLVERS, PRInstance, SolverConfig, oracle_solve
+from .solvers import SOLVERS, PRInstance, SolverConfig, grid_size, oracle_solve
 from .ztransform import ZeroPairing
 
 RECOVERY_REL_TOL = 1e-6
@@ -164,8 +165,7 @@ def cmd_autocorr(args) -> int:
     _require_kind(doc, "signal", "autocorr")
     x = parse_signal(doc)
     r = autocorrelation(x)
-    m = max(4 * x.n, 2 * x.n - 1)
-    floor = float(np.min(spectrum_from_autocorr(r, uniform_grid(m), tol=args.tol).values))
+    floor = float(np.min(spectrum_from_autocorr(r, uniform_grid(grid_size(x.n)), tol=args.tol).values))
     _emit_doc(
         {
             "kind": "autocorr",
@@ -287,7 +287,7 @@ def cmd_decide(args) -> int:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (instance, solver) benchmark outcome; wall time never enters the CSV."""
+    """One (instance, solver) benchmark outcome; wall time and error type never enter the CSV."""
 
     instance_id: str
     solver: str
@@ -295,6 +295,7 @@ class ResultRow:
     final_loss: float
     recovered: bool
     wall_ms: float
+    error: str | None = None
 
 
 CSV_HEADER = "instance_id,solver,iterations,final_loss,recovered"
@@ -316,9 +317,9 @@ def _bench_one(task) -> ResultRow:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rec = _recovered(trace.final, [gt])
         return ResultRow(iid, name, len(trace.iterates) - 1, float(trace.losses[-1]), rec, wall_ms)
-    except FprlabError:
+    except FprlabError as exc:
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        return ResultRow(iid, name, 0, float("nan"), False, wall_ms)
+        return ResultRow(iid, name, 0, float("nan"), False, wall_ms, type(exc).__name__)
 
 
 def cmd_bench(args) -> int:
@@ -384,6 +385,10 @@ def _bench_summary(rows, names) -> str:
             f"  {name}: recovery {rate:.2f}, mean iters {iters:.1f}, "
             f"median final loss {med:.3e}, mean wall {wall:.2f} ms"
         )
+        failed = Counter(r.error for r in mine if r.error is not None)
+        if failed:
+            kinds = ", ".join(f"{k} {c}" for k, c in sorted(failed.items()))
+            lines[-1] += f", failed {sum(failed.values())} ({kinds})"
     return "\n".join(lines)
 
 

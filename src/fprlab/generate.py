@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -85,13 +86,8 @@ def random_solvable_pp(
         if max(rest) < 3:
             continue
         mask = int(rng.integers(0, 1 << (n - 1)))
-        top = 1
-        bottom = 1
-        for k in range(n - 1):
-            if (mask >> k) & 1:
-                top *= rest[k]
-            else:
-                bottom *= rest[k]
+        top = math.prod(rest[k] for k in range(n - 1) if (mask >> k) & 1)
+        bottom = math.prod(rest) // top
         if top % bottom != 0:
             continue
         u_n = top // bottom

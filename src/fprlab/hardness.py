@@ -133,11 +133,11 @@ class LemmaBoundsReport:
         return all(c.passed for c in self.checks)
 
 
-def _subset_product(values, indices) -> int:
-    out = 1
-    for i in indices:
-        out *= values[i]
-    return out
+def _identity_sides(pp: PPInstance, gamma) -> tuple:
+    """Sides of the product identity: (prod of u over gamma, u_N * prod over the rest of 1..N-1)."""
+    top = math.prod(pp.u[k - 1] for k in gamma)
+    rest = math.prod(pp.u[k - 1] for k in range(1, pp.n) if k not in gamma)
+    return top, pp.u[-1] * rest
 
 
 def _witnesses(pp: PPInstance, budget: int):
@@ -208,10 +208,7 @@ def _check_witness(pp: PPInstance, gamma_set) -> frozenset:
     p = pp.n - 1
     if not gamma <= frozenset(range(1, p + 1)):
         raise InvalidWitness(f"indices must lie in 1..{p}")
-    left = _subset_product(pp.u, [k - 1 for k in gamma])
-    right = pp.u[-1] * _subset_product(
-        pp.u, [k - 1 for k in range(1, p + 1) if k not in gamma]
-    )
+    left, right = _identity_sides(pp, gamma)
     if left != right:
         raise InvalidWitness(f"product identity fails: {left} != {right}")
     return gamma
@@ -237,7 +234,7 @@ def ground_truth_exact(pp: PPInstance, gamma_set) -> tuple:
         for i, c in enumerate(coeffs):
             nxt[i + 1] -= b * c
         coeffs = nxt
-    off_product = _subset_product(pp.u, [k - 1 for k in range(1, p + 1) if k not in gamma])
+    off_product = math.prod(pp.u[k - 1] for k in range(1, p + 1) if k not in gamma)
     if (pp.u_max ** (pp.n - 1)) % off_product == 0:
         if any(c.denominator != 1 for c in coeffs):
             raise AssertionError("entries should be integral when the off product divides the anchor")
@@ -330,67 +327,52 @@ def decide_pp(
 ) -> PPDecision:
     """Decide a product-partition instance through retrieval plus readout.
 
-    Each round plants the surviving values, runs the solver to a
-    near-solution, and classifies every value by root membership. A
-    both-roots verdict on a duplicated value removes that pair of
-    indices (one belongs to each side of any solution) and restarts on
-    the smaller multiset; a both-roots verdict without a duplicate
-    already certifies a solution exists. After a clean round the claimed
-    partition is verified exactly: the answer is positive iff the
-    selected products satisfy the identity. A solver that certifies the
-    anchor infeasible (NoFeasibleSolution) certifies no subset works.
-
-    The anchor keeps the admission-time u_max through removals, so
-    shrunken rounds stay well-posed even when the largest value was
-    removed.
+    Each round plants the surviving values of u_1..u_{N-1}, runs the
+    solver to a near-solution and classifies the values in turn by root
+    membership. The first both-roots verdict removes that index and the
+    first other survivor of equal value (one lies on each side of any
+    solution) and starts the next round; with no equal survivor it
+    certifies that a solution exists. A clean round checks the product
+    identity exactly for the gamma-side indices plus one index of each
+    removed pair and, if it holds, returns the gamma side as witness.
+    NoFeasibleSolution from the solver, running out of survivors and a
+    failed identity all mean no solution. The anchor keeps the
+    admission-time u_max through removals, so shrunken rounds stay
+    well-posed even when the largest value was removed.
     """
-    u_last = pp.u[-1]
     u_max = pp.u_max
-    survivors = [(k, pp.u[k - 1]) for k in range(1, pp.n)]
+    survivors = list(range(1, pp.n))
     removed: list = []
     while survivors:
-        gamma1, gamma2, g1_vals, g2_vals = [], [], [], []
         n_cur = len(survivors) + 1
-        anchor_exact = u_max ** (n_cur - 1)
-        inst = _pr_from_values([v for _, v in survivors], u_last, anchor_exact, grid_mult)
+        values = [pp.u[k - 1] for k in survivors]
+        inst = _pr_from_values(values, pp.u[-1], u_max ** (n_cur - 1), grid_mult)
         run_cfg = cfg or SolverConfig(
             max_iters=reduction_iteration_budget(n_cur, u_max), seed=0
         )
         try:
             trace = solver(inst, run_cfg)
         except NoFeasibleSolution:
-            return PPDecision(PPAnswer.NO_SOLUTION, None, tuple(removed))
+            break
         if not trace.iterates:
             raise SolverFailure("solver returned no iterate")
         xm = trace.iterates[-1]
-        restart = False
-        for pos, (orig_k, uk) in enumerate(survivors):
-            res = discriminate(xm, uk, u_max, n_cur)
-            if res.verdict is Verdict.BOTH_ROOTS:
-                dup = next(
-                    (i for i, (_, v) in enumerate(survivors) if v == uk and i != pos),
-                    None,
-                )
-                if dup is None:
-                    # both roots present yet the value is unique: a solution
-                    # exists even though no explicit subset was read off
-                    return PPDecision(PPAnswer.HAS_SOLUTION, None, tuple(removed))
-                removed.append(tuple(sorted((orig_k, survivors[dup][0]))))
-                survivors = [s for i, s in enumerate(survivors) if i not in (pos, dup)]
-                restart = True
+        gamma = set()
+        for pos, uk in enumerate(values):
+            verdict = discriminate(xm, uk, u_max, n_cur).verdict
+            if verdict is Verdict.BOTH_ROOTS:
                 break
-            if res.verdict is Verdict.SELECT_GAMMA:
-                gamma1.append(orig_k)
-                g1_vals.append(uk)
-            else:
-                gamma2.append(orig_k)
-                g2_vals.append(uk)
-        if restart:
-            continue
-        break
-    if not survivors:
-        return PPDecision(PPAnswer.NO_SOLUTION, None, tuple(removed))
-    quot = Fraction(math.prod(g1_vals), math.prod(g2_vals))
-    if quot != u_last:
-        return PPDecision(PPAnswer.NO_SOLUTION, None, tuple(removed))
-    return PPDecision(PPAnswer.HAS_SOLUTION, frozenset(gamma1), tuple(removed))
+            if verdict is Verdict.SELECT_GAMMA:
+                gamma.add(survivors[pos])
+        else:
+            # a removed pair holds equal values, one per side: they cancel
+            top, bottom = _identity_sides(pp, gamma | {k for k, _ in removed})
+            if top != bottom:
+                break
+            return PPDecision(PPAnswer.HAS_SOLUTION, frozenset(gamma), tuple(removed))
+        dup = next((i for i, v in enumerate(values) if v == uk and i != pos), None)
+        if dup is None:
+            return PPDecision(PPAnswer.HAS_SOLUTION, None, tuple(removed))
+        removed.append(tuple(sorted((survivors[pos], survivors[dup]))))
+        survivors = [k for i, k in enumerate(survivors) if i not in (pos, dup)]
+    return PPDecision(PPAnswer.NO_SOLUTION, None, tuple(removed))

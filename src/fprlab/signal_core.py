@@ -200,6 +200,16 @@ def spectrum_from_autocorr(r: Autocorrelation, omegas, tol: float = DEFAULT_TOL)
     return SpectrumSamples(om, vals.real)
 
 
+def check_uniform_grid(s: SpectrumSamples, n: int, tol: float = DEFAULT_TOL) -> None:
+    """Raise InsufficientSamples unless m >= 2n-1, and NonUniformGrid
+    unless the sample angles are 2*pi*j/m within tol."""
+    m = s.m
+    if m < 2 * n - 1:
+        raise InsufficientSamples(f"m={m} samples cannot determine {n} lags (need {2 * n - 1})")
+    if not np.allclose(s.omegas, uniform_grid(m), rtol=0.0, atol=tol):
+        raise NonUniformGrid("sample angles must be 2*pi*j/m")
+
+
 def autocorr_from_spectrum(s: SpectrumSamples, n: int, tol: float = DEFAULT_TOL) -> Autocorrelation:
     """Invert uniform samples of R back to lags r(0..n-1).
 
@@ -215,11 +225,7 @@ def autocorr_from_spectrum(s: SpectrumSamples, n: int, tol: float = DEFAULT_TOL)
     """
     if n < 1:
         raise ValueError("n must be positive")
-    m = s.m
-    if m < 2 * n - 1:
-        raise InsufficientSamples(f"m={m} samples cannot determine {n} lags (need {2 * n - 1})")
-    if not np.allclose(s.omegas, uniform_grid(m), rtol=0.0, atol=tol):
-        raise NonUniformGrid("sample angles must be 2*pi*j/m")
+    check_uniform_grid(s, n, tol)
     phases = np.exp(1j * np.outer(np.arange(n), s.omegas))
-    r = (phases @ s.values.astype(np.complex128)) / m
+    r = (phases @ s.values.astype(np.complex128)) / s.m
     return Autocorrelation(r)

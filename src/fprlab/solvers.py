@@ -33,11 +33,17 @@ from .errors import GridMismatch, StepDiverged
 from .signal_core import (
     ComplexSignal,
     SpectrumSamples,
+    check_uniform_grid,
     fourier_intensity,
     uniform_grid,
 )
 from .ztransform import ZeroPairing, spectrum_from_pairing
 from . import ambiguity
+
+
+def grid_size(n: int, grid_mult: int = 4) -> int:
+    """Samples M = grid_mult * n, at least the 2n-1 that fix the autocorrelation."""
+    return max(grid_mult * n, 2 * n - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +70,10 @@ class PRInstance:
 
     @classmethod
     def _sampled(cls, pairing: ZeroPairing, anchor: complex, n: int, grid_mult: int, intensity) -> "PRInstance":
-        """Sample intensity(omegas) on the uniform grid of M = grid_mult * n
-        (at least 2n-1) points; the normalization sqrt(mean of the samples)
-        is sqrt(r(0)) on such a grid."""
-        om = uniform_grid(max(grid_mult * n, 2 * n - 1))
+        """Sample intensity(omegas) on the uniform grid of grid_size(n,
+        grid_mult) points; the normalization sqrt(mean of the samples) is
+        sqrt(r(0)) on such a grid."""
+        om = uniform_grid(grid_size(n, grid_mult))
         vals = intensity(om)
         norm = math.sqrt(max(float(np.mean(vals)), np.finfo(float).tiny))
         return cls(pairing, anchor, SpectrumSamples(om, vals), norm)
@@ -177,6 +183,8 @@ def wirtinger_gradient(z: ComplexSignal, s: SpectrumSamples) -> np.ndarray:
 
 
 def _normalized_setup(inst: PRInstance, cfg: SolverConfig, start):
+    # the FFT passes sample the grid 2*pi*j/m and nothing else
+    check_uniform_grid(inst.grid, inst.n)
     n = inst.n
     m = inst.grid.m
     r0 = inst.normalization ** 2

@@ -197,6 +197,19 @@ def test_bench_random_suite(tmp_path, capsys):
     assert all(ln.endswith("true") for ln in oracle_rows)
 
 
+def test_bench_summary_reports_failed_runs(capsys):
+    code, out, err = run(capsys, [
+        "bench", "--suite", "random", "--sizes", "8", "--trials", "2",
+        "--solvers", "er,hio,wf",
+    ])
+    assert code == 0
+    failed_rows = [ln for ln in out.splitlines() if ln.endswith(",0,nan,false")]
+    assert len(failed_rows) == 1 and ",wf," in failed_rows[0]
+    summary = {ln.split(":")[0].strip(): ln for ln in err.splitlines()[1:]}
+    assert summary["wf"].endswith(", failed 1 (StepDiverged 1)")
+    assert "failed" not in summary["er"] and "failed" not in summary["hio"]
+
+
 def test_bench_zero_trials_header_only(capsys):
     code, out, _ = run(capsys, ["bench", "--trials", "0", "--sizes", "3"])
     assert code == 0

@@ -305,3 +305,31 @@ def test_decide_mini_sweep_agreement():
         assert got is want, f"disagreement on {pp.u}"
         n_checked += 1
     assert n_checked == 27 - 3  # (2,2,*) inadmissible
+
+
+# sha256 of one line per instance of the N=3,4,5 sweep (values 2..6):
+# values, answer, sorted witness, removed pairs and solver calls
+FROZEN_SWEEP_SHA256 = "4df84c505002aecb3a6eb8f241ccc24e9400270b661c31b6ce59389a06c9e4cd"
+
+
+def test_decide_sweep_frozen():
+    import hashlib
+
+    from fprlab.generate import all_pp_instances
+
+    lines = []
+    for n in (3, 4, 5):
+        for pp in all_pp_instances(n, 2, 6):
+            calls = 0
+
+            def counting(inst, cfg=None):
+                nonlocal calls
+                calls += 1
+                return oracle_solve(inst, cfg)
+
+            d = decide_pp(pp, counting)
+            witness = sorted(d.witness) if d.witness is not None else None
+            lines.append(f"{pp.u}:{d.answer.value}:{witness}:{list(d.removed_pairs)}:{calls}")
+    assert len(lines) == 3860
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FROZEN_SWEEP_SHA256

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fprlab.ambiguity import trivial_orbit_distance
-from fprlab.errors import GridMismatch, NoFeasibleSolution, StepDiverged
+from fprlab.errors import (
+    GridMismatch,
+    InsufficientSamples,
+    NoFeasibleSolution,
+    NonUniformGrid,
+    StepDiverged,
+)
 from fprlab.signal_core import ComplexSignal, SpectrumSamples, autocorrelation, fourier_intensity, uniform_grid
 from fprlab.solvers import (
     SOLVERS,
@@ -157,6 +163,19 @@ def test_stop_rule_is_a_prefix_of_the_full_run(solver):
             assert got.entries.tobytes() == want.entries.tobytes()
     # one stop inside the run, one exactly at the last allowed pass
     assert stops[0] < 40 == stops[1]
+
+
+@pytest.mark.parametrize("solver", [error_reduction_solve, hio_solve, wirtinger_flow_solve])
+def test_iterative_solvers_reject_grids_their_fft_does_not_sample(solver):
+    x = random_full_support(4, 5)
+    good = PRInstance.from_signal(x)
+    om = good.grid.omegas + np.linspace(0.0, 0.3, good.grid.m)
+    shifted = PRInstance(good.pairing, good.anchor, fourier_intensity(x, om), good.normalization)
+    with pytest.raises(NonUniformGrid):
+        solver(shifted, SolverConfig(max_iters=5))
+    short = PRInstance(good.pairing, good.anchor, fourier_intensity(x, uniform_grid(3)), good.normalization)
+    with pytest.raises(InsufficientSamples):
+        solver(short, SolverConfig(max_iters=5))
 
 
 def test_losses_reported_in_original_units():
