@@ -33,13 +33,14 @@ from .ambiguity import (
     trivial_orbit_distance,
 )
 from .errors import (
+    EnumerationBudgetExceeded,
     FprlabError,
     KindMismatch,
     NoFeasibleSolution,
     ParseError,
     UnknownSolver,
 )
-from .generate import generic_instance, pairing_of, planted_retrieval
+from .generate import generic_instance, planted_retrieval
 from .hardness import PPAnswer, PPInstance, decide_pp
 from .signal_core import (
     ComplexSignal,
@@ -48,7 +49,7 @@ from .signal_core import (
     uniform_grid,
 )
 from .solvers import SOLVERS, PRInstance, SolverConfig, grid_size, oracle_solve
-from .ztransform import ZeroPairing
+from .ztransform import ZeroPairing, factor
 
 RECOVERY_REL_TOL = 1e-6
 
@@ -74,8 +75,8 @@ def _signal_out(x: ComplexSignal) -> list:
     return [_complex_out(z) for z in x.entries]
 
 
-def load_document(path: str) -> dict:
-    """Read a JSON input document from a path or '-' for stdin."""
+def load_document(path: str, command: str, kinds: tuple) -> dict:
+    """Read a JSON document from a path or '-' (stdin) that command reads as one of kinds."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -92,12 +93,10 @@ def load_document(path: str) -> dict:
         raise ParseError(f"{path}: document must be an object with a 'kind' field")
     if doc["kind"] not in ("signal", "pairing", "pp"):
         raise ParseError(f"{path}: unknown kind {doc['kind']!r}")
+    if doc["kind"] not in kinds:
+        wanted = " or ".join(f"'{k}'" for k in kinds)
+        raise KindMismatch(f"{command} needs kind {wanted}, got '{doc['kind']}'")
     return doc
-
-
-def _require_kind(doc: dict, kind: str, command: str):
-    if doc["kind"] != kind:
-        raise KindMismatch(f"{command} needs kind '{kind}', got '{doc['kind']}'")
 
 
 def parse_signal(doc: dict) -> ComplexSignal:
@@ -136,6 +135,15 @@ def parse_pairing(doc: dict) -> tuple:
     return ZeroPairing(scale, tuple(pairs), tuple(flags)), anchor
 
 
+def load_retrieval(path: str, command: str) -> tuple:
+    """(signal or None, pairing, anchor or None) of a signal or pairing document."""
+    doc = load_document(path, command, ("signal", "pairing"))
+    if doc["kind"] == "pairing":
+        return (None, *parse_pairing(doc))
+    x = parse_signal(doc)
+    return x, factor(autocorrelation(x)), None
+
+
 def parse_pp(doc: dict) -> PPInstance:
     u = doc.get("u")
     if not isinstance(u, list) or len(u) < 2 or not all(
@@ -161,9 +169,7 @@ def _emit_doc(doc: dict, out_path: str | None):
 
 
 def cmd_autocorr(args) -> int:
-    doc = load_document(args.input)
-    _require_kind(doc, "signal", "autocorr")
-    x = parse_signal(doc)
+    x = parse_signal(load_document(args.input, "autocorr", ("signal",)))
     r = autocorrelation(x)
     floor = float(np.min(spectrum_from_autocorr(r, uniform_grid(grid_size(x.n)), tol=args.tol).values))
     _emit_doc(
@@ -180,14 +186,7 @@ def cmd_autocorr(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    doc = load_document(args.input)
-    if doc["kind"] == "signal":
-        x = parse_signal(doc)
-        pairing, anchor = pairing_of(x), None
-    elif doc["kind"] == "pairing":
-        pairing, anchor = parse_pairing(doc)
-    else:
-        raise KindMismatch("enumerate needs kind 'signal' or 'pairing', got 'pp'")
+    _, pairing, anchor = load_retrieval(args.input, "enumerate")
     if anchor is not None:
         sigs = anchored_solutions(pairing, anchor, tol=args.tol).signals()
     else:
@@ -204,12 +203,13 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _ground_truths(doc_kind: str, signal, inst: PRInstance) -> list:
-    if doc_kind == "signal":
+def _ground_truths(signal, inst: PRInstance) -> list:
+    """The signal, else the anchored survivors: none if no selection fits or p > the budget."""
+    if signal is not None:
         return [signal]
     try:
         return anchored_solutions(inst.pairing, inst.anchor).signals()
-    except NoFeasibleSolution:
+    except (NoFeasibleSolution, EnumerationBudgetExceeded):
         return []
 
 
@@ -222,18 +222,13 @@ def _recovered(final: ComplexSignal, truths: list) -> bool:
 
 
 def cmd_solve(args) -> int:
-    doc = load_document(args.input)
-    signal = None
-    if doc["kind"] == "signal":
-        signal = parse_signal(doc)
-        inst = PRInstance.from_signal(signal, grid_mult=args.grid_mult)
-    elif doc["kind"] == "pairing":
-        pairing, anchor = parse_pairing(doc)
-        if anchor is None:
-            raise ParseError("solve on a pairing requires an 'anchor' value")
-        inst = PRInstance.from_pairing(pairing, anchor, grid_mult=args.grid_mult)
+    signal, pairing, anchor = load_retrieval(args.input, "solve")
+    if signal is not None:
+        inst = PRInstance.from_signal(signal, grid_mult=args.grid_mult, pairing=pairing)
+    elif anchor is None:
+        raise ParseError("solve on a pairing requires an 'anchor' value")
     else:
-        raise KindMismatch("solve needs kind 'signal' or 'pairing', got 'pp'")
+        inst = PRInstance.from_pairing(pairing, anchor, grid_mult=args.grid_mult)
     solver = _solver_by_name(args.solver)
     cfg = SolverConfig(
         max_iters=args.iters,
@@ -245,7 +240,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     trace = solver(inst, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    truths = _ground_truths(doc["kind"], signal, inst)
+    truths = _ground_truths(signal, inst)
     _emit_doc(
         {
             "kind": "solve_result",
@@ -265,13 +260,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    doc = load_document(args.input)
-    _require_kind(doc, "pp", "decide")
-    pp = parse_pp(doc)
+    pp = parse_pp(load_document(args.input, "decide", ("pp",)))
     solver = _solver_by_name(args.solver)
     cfg = None
     if args.iters is not None:
-        cfg = SolverConfig(max_iters=args.iters, seed=args.seed)
+        cfg = SolverConfig(max_iters=args.iters, seed=args.seed or 0)
+    elif args.seed is not None:
+        raise ParseError("decide --seed applies only together with --iters")
     decision = decide_pp(pp, solver, cfg=cfg, grid_mult=args.grid_mult)
     _emit_doc(
         {
@@ -377,7 +372,8 @@ def _bench_summary(rows, names) -> str:
         if not mine:
             continue
         rate = sum(r.recovered for r in mine) / len(mine)
-        iters = sum(r.iterations for r in mine) / len(mine)
+        done = [r.iterations for r in mine if r.error is None]
+        iters = sum(done) / len(done) if done else float("nan")
         wall = sum(r.wall_ms for r in mine) / len(mine)
         finals = [r.final_loss for r in mine if math.isfinite(r.final_loss)]
         med = sorted(finals)[len(finals) // 2] if finals else float("nan")
@@ -427,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="JSON file with kind 'pp'")
     p.add_argument("--solver", default="oracle")
     p.add_argument("--iters", type=int, default=None, help="override the per-round budget")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="solver seed; needs --iters")
     p.add_argument("--grid-mult", type=int, default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_decide)

@@ -11,7 +11,7 @@ from .ambiguity import ANCHOR_REL_TOL, anchor_residuals, anchor_threshold
 from .errors import FprlabError, NoFeasibleSolution
 from .hardness import PPInstance, brute_force_pp, enumerate_witnesses
 from .signal_core import ComplexSignal, autocorrelation
-from .ztransform import ZeroPairing, build_S_poly, find_roots, pair_roots
+from .ztransform import factor
 
 
 def random_signal(n: int, rng: np.random.Generator, min_edge: float = 0.1) -> ComplexSignal:
@@ -22,14 +22,6 @@ def random_signal(n: int, rng: np.random.Generator, min_edge: float = 0.1) -> Co
         e = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if abs(e[0]) >= min_edge and abs(e[-1]) >= min_edge:
             return ComplexSignal(e, full_support=True)
-
-
-def pairing_of(x: ComplexSignal) -> ZeroPairing:
-    """Zero pairing of the measured autocorrelation of x."""
-    r = autocorrelation(x)
-    s = build_S_poly(r)
-    roots = find_roots(s)
-    return pair_roots(roots, r.entries[-1])
 
 
 def generic_instance(n: int, rng: np.random.Generator, max_tries: int = 200) -> tuple:
@@ -44,7 +36,7 @@ def generic_instance(n: int, rng: np.random.Generator, max_tries: int = 200) -> 
     for _ in range(max_tries):
         x = random_signal(n, rng)
         try:
-            pairing = pairing_of(x)
+            pairing = factor(autocorrelation(x))
         except FprlabError:
             continue
         roots = [g for pair in pairing.pairs for g in pair]

@@ -206,7 +206,7 @@ def check_uniform_grid(s: SpectrumSamples, n: int, tol: float = DEFAULT_TOL) -> 
     m = s.m
     if m < 2 * n - 1:
         raise InsufficientSamples(f"m={m} samples cannot determine {n} lags (need {2 * n - 1})")
-    if not np.allclose(s.omegas, uniform_grid(m), rtol=0.0, atol=tol):
+    if np.max(np.abs(s.omegas - uniform_grid(m))) > tol:
         raise NonUniformGrid("sample angles must be 2*pi*j/m")
 
 

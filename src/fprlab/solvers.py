@@ -33,11 +33,13 @@ from .errors import GridMismatch, StepDiverged
 from .signal_core import (
     ComplexSignal,
     SpectrumSamples,
+    autocorrelation,
     check_uniform_grid,
     fourier_intensity,
+    spectrum_from_autocorr,
     uniform_grid,
 )
-from .ztransform import ZeroPairing, spectrum_from_pairing
+from .ztransform import ZeroPairing, factor, spectrum_from_pairing
 from . import ambiguity
 
 
@@ -87,12 +89,9 @@ class PRInstance:
     @classmethod
     def from_signal(cls, x: ComplexSignal, grid_mult: int = 4, pairing: ZeroPairing | None = None) -> "PRInstance":
         """Instance whose ground truth is x; the spectrum is computed exactly from x."""
-        from .signal_core import autocorrelation, spectrum_from_autocorr
-        from .ztransform import build_S_poly, find_roots, pair_roots
-
         r = autocorrelation(x)
         if pairing is None:
-            pairing = pair_roots(find_roots(build_S_poly(r)), r.entries[r.n - 1])
+            pairing = factor(r)
         tol = 1e-9 * (float(np.sum(np.abs(r.entries))) + 1.0)
         return cls._sampled(pairing, complex(x.entries[0]), x.n, grid_mult,
                             lambda om: np.maximum(spectrum_from_autocorr(r, om, tol=tol).values, 0.0))

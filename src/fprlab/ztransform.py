@@ -4,7 +4,8 @@ The Laurent series R(z) = sum_{|n|<N} r(n) z^-n, lifted by z^(N-1), is an
 ordinary polynomial of degree 2N-2 whose roots come in conjugate-reciprocal
 partners (gamma, 1/conj(gamma)). Picking one member per partner pair and
 expanding recovers a signal with the prescribed intensity; this module owns
-that factorization, the pairing, and the expansion.
+that factorization, the pairing, and the expansion. `factor` is the
+roots-and-pairing stage of the pipeline: autocorrelation in, ZeroPairing out.
 """
 
 from __future__ import annotations
@@ -222,6 +223,11 @@ def pair_roots(roots, scale: complex) -> ZeroPairing:
             pairs.append((g, h) if abs(g) >= abs(h) else (h, g))
             flags.append(False)
     return ZeroPairing(complex(scale), tuple(pairs), tuple(flags))
+
+
+def factor(r: Autocorrelation) -> ZeroPairing:
+    """Zero pairing of an autocorrelation: roots of z^(N-1) R(z), paired, scale r(N-1)."""
+    return pair_roots(find_roots(build_S_poly(r)), r.entries[r.n - 1])
 
 
 def signal_from_selection(sel: RootSelection) -> ComplexSignal:

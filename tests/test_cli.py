@@ -45,6 +45,22 @@ def test_autocorr_kind_mismatch(tmp_path, capsys):
     assert "kind" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("autocorr", {"kind": "pp", "u": [2, 3, 6]}, "autocorr needs kind 'signal', got 'pp'"),
+        ("enumerate", {"kind": "pp", "u": [2, 3, 6]}, "enumerate needs kind 'signal' or 'pairing', got 'pp'"),
+        ("solve", {"kind": "pp", "u": [2, 3, 6]}, "solve needs kind 'signal' or 'pairing', got 'pp'"),
+        ("decide", PAIRING_3, "decide needs kind 'pp', got 'pairing'"),
+    ],
+)
+def test_kind_mismatch_messages(tmp_path, capsys, command, doc, message):
+    code, out, err = run(capsys, [command, write(tmp_path, "doc.json", doc)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_malformed_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -121,6 +137,25 @@ def test_solve_requires_anchor_on_pairing(tmp_path, capsys):
     assert run(capsys, ["solve", path])[0] == 2
 
 
+def test_solve_past_enumeration_budget_reports_no_ground_truth(tmp_path, capsys):
+    # 25 real pairs: ER runs, and labeling ground truth would need the
+    # anchored scan, which is past the 24-pair budget
+    gammas = [-(2.0 + 0.1 * k) for k in range(25)]
+    doc = {
+        "kind": "pairing",
+        "scale": 1.0,
+        "pairs": [[g, 1.0 / g] for g in gammas],
+        "anchor": 1.0,
+    }
+    path = write(tmp_path, "wide.json", doc)
+    code, out, err = run(capsys, ["solve", path, "--solver", "er", "--iters", "20"])
+    assert code == 0, err
+    result = json.loads(out)
+    assert result["n"] == 26
+    assert result["iterations"] == 20
+    assert result["recovered"] is None
+
+
 def test_solve_unknown_solver(tmp_path, capsys):
     path = write(tmp_path, "sig.json", SIGNAL_2)
     code, _, err = run(capsys, ["solve", path, "--solver", "magic"])
@@ -151,6 +186,17 @@ def test_decide_exit_codes(tmp_path, capsys):
     assert json.loads(out)["answer"] == "no_solution"
     assert run(capsys, ["decide", bad])[0] == 2
     assert run(capsys, ["decide", yes, "--solver", "bogus"])[0] == 2
+
+
+def test_decide_seed_needs_iters(tmp_path, capsys):
+    path = write(tmp_path, "yes.json", {"kind": "pp", "u": [2, 3, 6]})
+    code, out, err = run(capsys, ["decide", path, "--seed", "5"])
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err and "--iters" in err
+    code, out, _ = run(capsys, ["decide", path, "--seed", "5", "--iters", "50"])
+    assert code == 0
+    assert json.loads(out)["answer"] == "has_solution"
 
 
 def test_decide_duplicate_instance(tmp_path, capsys):
@@ -208,6 +254,10 @@ def test_bench_summary_reports_failed_runs(capsys):
     summary = {ln.split(":")[0].strip(): ln for ln in err.splitlines()[1:]}
     assert summary["wf"].endswith(", failed 1 (StepDiverged 1)")
     assert "failed" not in summary["er"] and "failed" not in summary["hio"]
+    # mean iters averages the completed runs only
+    wf_done = [int(ln.split(",")[2]) for ln in out.splitlines()[1:] if ",wf," in ln and ln not in failed_rows]
+    assert len(wf_done) == 1
+    assert f"mean iters {sum(wf_done) / len(wf_done):.1f}," in summary["wf"]
 
 
 def test_bench_zero_trials_header_only(capsys):

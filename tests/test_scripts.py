@@ -25,7 +25,6 @@ def run_script(name, *args):
     [
         ("ambiguity_census.py", ["--sizes", "2,3,4", "--draws", "2"]),
         ("decision_sweep.py", ["--sizes", "3"]),
-        ("solver_shootout.py", ["--sizes", "3", "--trials", "1", "--iters", "20"]),
     ],
 )
 def test_script_smallest_size_runs(name, args):

@@ -119,6 +119,14 @@ def test_nonuniform_grid_rejected():
     s = fourier_intensity(x, om)
     with pytest.raises(NonUniformGrid):
         autocorr_from_spectrum(s, 3)
+    # the accept bound is the largest angle offset: 0.5*tol passes, 2*tol fails
+    tol = 1e-9
+    om = uniform_grid(7)
+    om[3] += 0.5 * tol
+    autocorr_from_spectrum(fourier_intensity(x, om), 3, tol=tol)
+    om[3] += 1.5 * tol
+    with pytest.raises(NonUniformGrid):
+        autocorr_from_spectrum(fourier_intensity(x, om), 3, tol=tol)
 
 
 def test_imaginary_residue_guard():

@@ -24,6 +24,7 @@ from fprlab.ztransform import (
     autocorr_from_pairing,
     build_S_poly,
     eval_ztransform,
+    factor,
     find_roots,
     pair_roots,
     signal_from_selection,
@@ -56,6 +57,14 @@ def well_separated(roots):
 def pairing_of_signal(x):
     r = autocorrelation(x)
     return r, pair_roots(find_roots(build_S_poly(r)), r.entries[-1])
+
+
+def test_factor_is_roots_then_pairing():
+    r, want = pairing_of_signal(ComplexSignal(np.array([1.2 - 0.3j, 0.4 + 0.9j, -0.7 + 0.2j, 0.3 - 1.1j])))
+    got = factor(r)
+    assert got.scale == want.scale == r.entries[3]
+    assert got.pairs == want.pairs
+    assert got.unit_circle_flags == want.unit_circle_flags
 
 
 def test_eval_ztransform_frozen():
