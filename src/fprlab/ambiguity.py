@@ -19,7 +19,7 @@ from .errors import (
     ZeroSignal,
 )
 from .signal_core import ComplexSignal
-from .ztransform import RootSelection, ZeroPairing, signal_from_selection
+from .ztransform import RootSelection, ZeroPairing
 
 ENUM_BUDGET_PAIRS = 24
 ANCHOR_REL_TOL = 1e-6
@@ -48,28 +48,25 @@ def _check_budget(pairing: ZeroPairing) -> int:
     return p
 
 
-def _choice_blocks(pairing: ZeroPairing):
-    """Yield (lo, betas) for the choice-vector codes in blocks of
-    2^RESIDUAL_BLOCK_BITS; row i of betas holds the roots code lo + i picks."""
-    p = pairing.n_pairs
-    gh = np.array(pairing.pairs, dtype=np.complex128).reshape(p, 2)
-    total = 1 << p
-    for lo in range(0, total, 1 << RESIDUAL_BLOCK_BITS):
-        v = np.arange(lo, min(lo + (1 << RESIDUAL_BLOCK_BITS), total))
-        yield lo, np.where((v[:, None] >> np.arange(p)) & 1, gh[:, 0], gh[:, 1])
+def _blocks(total: int):
+    """(lo, hi) bounds of range(total) in blocks of 2^RESIDUAL_BLOCK_BITS, a few MB of rows each."""
+    step = 1 << RESIDUAL_BLOCK_BITS
+    return ((lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
-def _expand(pairing: ZeroPairing, codes, alpha: float) -> SolutionSet:
-    """Expand the selections with the given integer encodings, in that order."""
-    out = []
-    for v in codes:
-        choices = tuple(bool((int(v) >> k) & 1) for k in range(pairing.n_pairs))
-        out.append((choices, signal_from_selection(RootSelection(pairing, choices, alpha))))
-    return SolutionSet(pairing, tuple(out))
+def _code_bits(codes: np.ndarray, p: int) -> np.ndarray:
+    """(len(codes), p) bits of the choice-vector codes: bit k set picks gamma for pair k."""
+    return ((codes[:, None] >> np.arange(p)) & 1).astype(bool)
 
 
-def _expand_rows(scale: complex, betas: np.ndarray) -> np.ndarray:
-    """signal_from_selection (alpha = 0) of every row of betas, as (B, p+1) entries.
+def _picked_roots(pairing: ZeroPairing, codes: np.ndarray) -> np.ndarray:
+    """Row i holds the roots that code codes[i] picks, in pair order."""
+    gh = np.array(pairing.pairs, dtype=np.complex128).reshape(-1, 2)
+    return np.where(_code_bits(codes, len(gh)), gh[:, 0], gh[:, 1])
+
+
+def _expand_rows(scale: complex, betas: np.ndarray, alpha: float) -> np.ndarray:
+    """signal_from_selection of every row of betas at phase alpha, as (B, p+1) entries.
 
     Bitwise equal to that reference. np.poly multiplies in one factor
     (z - beta) per pair; with w = -beta, coefficient j becomes
@@ -88,9 +85,17 @@ def _expand_rows(scale: complex, betas: np.ndarray) -> np.ndarray:
     im[:, np.all(np.sort(betas, axis=1) == np.sort(betas.conj(), axis=1), axis=1)] = 0.0
     coeffs = np.empty((b, p + 1), np.complex128)
     coeffs.real, coeffs.imag = re.T, im.T
-    # exp(1j * 0) * gain is (gain, +0), the complex value gain promotes to
-    gain = np.sqrt(abs(scale)) / np.sqrt(np.prod(np.abs(betas), axis=1))
+    gain = np.exp(1j * alpha) * (np.sqrt(abs(scale)) / np.sqrt(np.prod(np.abs(betas), axis=1)))
     return gain[:, None] * coeffs
+
+
+def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> list:
+    """signal_from_selection of the selections with these codes, in order, at anchor phase alpha."""
+    signals = []
+    for lo, hi in _blocks(codes.size):
+        rows = _expand_rows(pairing.scale, _picked_roots(pairing, codes[lo:hi]), alpha)
+        signals.extend(ComplexSignal.from_rows(rows))
+    return signals
 
 
 def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
@@ -100,13 +105,11 @@ def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
     pair k. The signals are built as arrays, block by block, bitwise equal
     to signal_from_selection. Raises EnumerationBudgetExceeded past 24 pairs.
     """
+    p = _check_budget(pairing)
     choices = [()]
-    for _ in range(_check_budget(pairing)):
+    for _ in range(p):
         choices = [c + (False,) for c in choices] + [c + (True,) for c in choices]
-    signals = []
-    for _, betas in _choice_blocks(pairing):
-        signals.extend(ComplexSignal.from_rows(_expand_rows(pairing.scale, betas)))
-    return SolutionSet(pairing, tuple(zip(choices, signals)))
+    return SolutionSet(pairing, zip(choices, _expand(pairing, np.arange(1 << p), 0.0)))
 
 
 def _phase_fixed(e: np.ndarray) -> np.ndarray:
@@ -140,6 +143,15 @@ def canonicalize(x: ComplexSignal) -> ComplexSignal:
     return ComplexSignal(pick)
 
 
+def _anchor_power(x0: complex) -> float:
+    """|x0|^2, the divisor of the anchored product identity; ZeroAnchor
+    when it is 0, for x0 = 0 and for an x0 whose square underflows."""
+    power = abs(complex(x0)) ** 2
+    if power == 0:
+        raise ZeroAnchor(f"x(0) = {complex(x0)} cannot anchor: |x(0)|^2 is 0 in double precision")
+    return power
+
+
 def product_constraint(sel: RootSelection, x0: complex) -> float:
     """Residual of the anchored product identity.
 
@@ -147,38 +159,29 @@ def product_constraint(sel: RootSelection, x0: complex) -> float:
     prod(-beta_j) = r(N-1) / |x0|^2, the ratio x(N-1)/x(0) of the
     expanded signal. Returns |prod(-beta_j) - r(N-1)/|x0|^2|.
     """
-    x0 = complex(x0)
-    if x0 == 0:
-        raise ZeroAnchor("x(0) = 0 cannot anchor")
-    betas = sel.betas()
-    prod = complex(np.prod(-betas)) if betas.size else 1.0 + 0j
-    target = complex(sel.pairing.scale) / abs(x0) ** 2
-    return float(abs(prod - target))
+    target = complex(sel.pairing.scale) / _anchor_power(x0)
+    return float(abs(complex(np.prod(-sel.betas())) - target))
 
 
 def anchor_residuals(pairing: ZeroPairing, x0: complex) -> np.ndarray:
     """product_constraint of every choice vector, in integer-encoding order.
 
     Bitwise equal to that reference: rows are reduced by np.prod in pair
-    order and measured with hypot. Rows are built 2^RESIDUAL_BLOCK_BITS at
-    a time so memory stays a few MB at any pair count. Raises
-    EnumerationBudgetExceeded past 24 pairs and ZeroAnchor for x0 = 0.
+    order and measured with hypot. Raises EnumerationBudgetExceeded past
+    24 pairs and ZeroAnchor when |x0|^2 is 0.
     """
     p = _check_budget(pairing)
-    x0 = complex(x0)
-    if x0 == 0:
-        raise ZeroAnchor("x(0) = 0 cannot anchor")
-    target = complex(pairing.scale) / abs(x0) ** 2
+    target = complex(pairing.scale) / _anchor_power(x0)
     out = np.empty(1 << p)
-    for lo, betas in _choice_blocks(pairing):
-        d = np.prod(-betas, axis=1) - target
-        out[lo : lo + d.size] = np.hypot(d.real, d.imag)
+    for lo, hi in _blocks(1 << p):
+        d = np.prod(-_picked_roots(pairing, np.arange(lo, hi)), axis=1) - target
+        out[lo:hi] = np.hypot(d.real, d.imag)
     return out
 
 
 def anchor_threshold(pairing: ZeroPairing, x0: complex, tol: float) -> float:
     """Accept bound tol * |r(N-1)| / |x0|^2 on an anchor residual."""
-    return tol * abs(complex(pairing.scale)) / abs(complex(x0)) ** 2
+    return tol * abs(complex(pairing.scale)) / _anchor_power(x0)
 
 
 def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_REL_TOL) -> SolutionSet:
@@ -191,7 +194,8 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
     survivors = np.flatnonzero(anchor_residuals(pairing, x0) <= anchor_threshold(pairing, x0, tol))
     if not survivors.size:
         raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
-    return _expand(pairing, survivors, float(np.angle(x0)))
+    choices = map(tuple, _code_bits(survivors, pairing.n_pairs).tolist())
+    return SolutionSet(pairing, zip(choices, _expand(pairing, survivors, float(np.angle(x0)))))
 
 
 def filter_by_anchor(sols: SolutionSet, x0: complex, tol: float = ANCHOR_REL_TOL) -> SolutionSet:

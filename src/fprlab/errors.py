@@ -52,7 +52,7 @@ class ZeroSignal(FprlabError):
 
 
 class ZeroAnchor(FprlabError):
-    """x(0) = 0 cannot anchor a solution."""
+    """An anchor x(0) with |x(0)|^2 = 0 in double precision cannot anchor a solution."""
 
 
 class NoFeasibleSolution(FprlabError):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .ambiguity import ANCHOR_REL_TOL, anchor_residuals, anchor_threshold
 from .errors import FprlabError, NoFeasibleSolution
-from .hardness import PPInstance, brute_force_pp, enumerate_witnesses
+from .hardness import PPInstance, brute_force_pp, construct_hard_instance, enumerate_witnesses, ground_truth_signal
 from .signal_core import ComplexSignal, autocorrelation
 from .ztransform import factor
 
@@ -106,8 +106,6 @@ def planted_retrieval(n: int, rng: np.random.Generator, grid_mult: int = 4):
     the unique witness. Sizes stay small so the planted integers remain
     exactly representable in doubles.
     """
-    from .hardness import construct_hard_instance, ground_truth_signal
-
     pp = random_solvable_pp(n, rng)
     hard = construct_hard_instance(pp, grid_mult=grid_mult)
     witness = brute_force_pp(pp).witness

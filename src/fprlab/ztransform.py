@@ -147,7 +147,8 @@ def build_S_poly(r: Autocorrelation) -> PolyCoeffs:
 
 
 def find_roots(p: PolyCoeffs, tau_root: float = TAU_ROOT) -> np.ndarray:
-    """All complex roots with multiplicity, lexicographically sorted by (re, im).
+    """All complex roots with multiplicity (none for a nonzero constant),
+    lexicographically sorted by (re, im).
 
     Companion-matrix eigenvalues (LAPACK balances the matrix) followed by
     up to five Newton polish steps, each kept only when it lowers the
@@ -155,8 +156,8 @@ def find_roots(p: PolyCoeffs, tau_root: float = TAU_ROOT) -> np.ndarray:
     |p(root)| <= tau_root * max|c| * max(1, |root|)^D.
     """
     d = p.degree
-    if d < 1:
-        raise ValueError("need degree >= 1 to have roots")
+    if d == 0:
+        return np.empty(0, np.complex128)
     desc = p.coeffs[::-1]
     roots = np.roots(desc)
     dp = np.polyder(desc)
@@ -239,12 +240,9 @@ def signal_from_selection(sel: RootSelection) -> ComplexSignal:
     to exp(i alpha) times a positive real.
     """
     betas = sel.betas()
-    c = np.sqrt(abs(sel.pairing.scale))
-    if betas.size:
-        c = c / np.sqrt(np.prod(np.abs(betas)))
+    c = np.sqrt(abs(sel.pairing.scale)) / np.sqrt(np.prod(np.abs(betas)))
     coeffs = np.atleast_1d(np.poly(betas)).astype(np.complex128)
-    entries = np.exp(1j * sel.alpha) * c * coeffs
-    return ComplexSignal(entries)
+    return ComplexSignal(np.exp(1j * sel.alpha) * c * coeffs)
 
 
 def spectrum_from_pairing(pairing: ZeroPairing, omegas) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fprlab.ambiguity import (
     ANCHOR_REL_TOL,
     anchor_residuals,
+    anchor_threshold,
     anchored_solutions,
     canonicalize,
     distinct_canonical,
@@ -174,10 +175,17 @@ def test_filter_by_anchor_frozen():
     for anchored in (lambda x0: filter_by_anchor(sols, x0), lambda x0: anchored_solutions(pairing, x0)):
         with pytest.raises(NoFeasibleSolution):
             anchored(10.0)
+        for zero in (0.0, 1e-170):
+            with pytest.raises(ZeroAnchor):
+                anchored(zero)
+    # |1e-170|^2 underflows to 0, so it cannot divide r(N-1) either
+    for zero in (0.0, 1e-170):
         with pytest.raises(ZeroAnchor):
-            anchored(0.0)
-    with pytest.raises(ZeroAnchor):
-        anchor_residuals(pairing, 0.0)
+            anchor_residuals(pairing, zero)
+        with pytest.raises(ZeroAnchor):
+            anchor_threshold(pairing, zero, ANCHOR_REL_TOL)
+        with pytest.raises(ZeroAnchor):
+            product_constraint(RootSelection(pairing, (True, True)), zero)
 
 
 def test_filter_by_anchor_sets_leading_phase():
@@ -260,8 +268,16 @@ def _reference_anchored(pairing, x0):
 def test_anchored_scan_matches_per_selection_reference():
     corpus = _differential_corpus()
     assert len(corpus) >= 400
-    feasible = 0
-    for pairing, x0 in corpus:
+    # anchors of modulus sqrt|r(N-1)| keep every equal-product split of the
+    # real pairings, so several survivors are expanded at a nonzero phase;
+    # the complex-scale pairings define no real spectrum to pose the oracle on
+    phased = [
+        (pairing, np.sqrt(abs(pairing.scale)) * np.exp(0.7j))
+        for pairing in _real_polynomial_pairings()
+        if pairing.scale.imag == 0
+    ]
+    feasible, several = 0, 0
+    for pairing, x0 in corpus + phased:
         ref_res, ref_keep = _reference_anchored(pairing, x0)
         assert anchor_residuals(pairing, x0).tobytes() == ref_res.tobytes()
         if not ref_keep:
@@ -271,6 +287,7 @@ def test_anchored_scan_matches_per_selection_reference():
                 oracle_solve(PRInstance.from_pairing(pairing, x0))
             continue
         feasible += 1
+        several += len(ref_keep) > 1
         outs = [anchored_solutions(pairing, x0)]
         if pairing.n_pairs < 8:  # full expansion is slow and filter_by_anchor reads only the pairing
             outs.append(filter_by_anchor(enumerate_solutions(pairing), x0))
@@ -282,7 +299,8 @@ def test_anchored_scan_matches_per_selection_reference():
         expected[0] = x0
         found = oracle_solve(PRInstance.from_pairing(pairing, x0)).final
         assert found.entries.tobytes() == expected.tobytes()
-    assert feasible >= len(corpus) // 2
+    assert feasible - several >= len(corpus) // 2
+    assert several >= 20
 
 
 def _real_polynomial_pairings():

@@ -270,3 +270,35 @@ def test_bench_rejects_bad_config(capsys):
     assert run(capsys, ["bench", "--trials", "-1"])[0] == 2
     assert run(capsys, ["bench", "--solvers", "er,nope"])[0] == 2
     assert run(capsys, ["bench", "--sizes", "2"])[0] == 2
+
+
+def test_anchor_whose_square_underflows_is_a_zero_anchor(tmp_path, capsys):
+    # |1e-170|^2 underflows to 0, so the anchor cannot divide r(N-1)
+    pairing = {"kind": "pairing", "scale": [1e-300, 0], "pairs": [[[-2, 0], [-0.5, 0]]], "anchor": [1e-170, 0]}
+    signal = {"kind": "signal", "entries": [[1e-300, 0], [1, 0]]}
+    for doc, argv in [
+        (pairing, ["enumerate"]),
+        (pairing, ["solve", "--solver", "oracle"]),
+        (pairing, ["solve", "--solver", "er"]),
+        (signal, ["solve", "--solver", "oracle"]),
+    ]:
+        code, out, err = run(capsys, [argv[0], write(tmp_path, "doc.json", doc), *argv[1:]])
+        assert code == 2, (doc, argv)
+        assert out == ""
+        assert err.startswith("error: ") and "cannot anchor" in err
+
+
+def test_one_entry_signal_matches_its_pairing(tmp_path, capsys):
+    signal = write(tmp_path, "sig.json", {"kind": "signal", "entries": [[2, 1]]})
+    pairing = write(tmp_path, "pairing.json", {"kind": "pairing", "scale": [5, 0], "pairs": [], "anchor": [2, 1]})
+    code, out, _ = run(capsys, ["enumerate", signal])
+    assert code == 0
+    assert json.loads(out)["count"] == 1
+    results = []
+    for path in (signal, pairing):
+        code, out, err = run(capsys, ["solve", path])
+        assert code == 0, err
+        results.append(json.loads(out))
+        del results[-1]["wall_ms"]
+    assert results[0] == results[1]
+    assert results[0]["n"] == 1 and results[0]["recovered"] is True

@@ -60,11 +60,14 @@ def pairing_of_signal(x):
 
 
 def test_factor_is_roots_then_pairing():
-    r, want = pairing_of_signal(ComplexSignal(np.array([1.2 - 0.3j, 0.4 + 0.9j, -0.7 + 0.2j, 0.3 - 1.1j])))
-    got = factor(r)
-    assert got.scale == want.scale == r.entries[3]
-    assert got.pairs == want.pairs
-    assert got.unit_circle_flags == want.unit_circle_flags
+    # a one-entry signal has a constant polynomial: no roots, the empty pairing
+    for entries in ([1.2 - 0.3j, 0.4 + 0.9j, -0.7 + 0.2j, 0.3 - 1.1j], [3j]):
+        r, want = pairing_of_signal(ComplexSignal(np.array(entries)))
+        got = factor(r)
+        assert got.scale == want.scale == r.entries[-1]
+        assert got.n_pairs == len(entries) - 1
+        assert got.pairs == want.pairs
+        assert got.unit_circle_flags == want.unit_circle_flags
 
 
 def test_eval_ztransform_frozen():
