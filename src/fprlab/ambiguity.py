@@ -8,6 +8,8 @@ down further, generically to a single survivor.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,36 +67,53 @@ def _picked_roots(pairing: ZeroPairing, codes: np.ndarray) -> np.ndarray:
     return np.where(_code_bits(codes, len(gh)), gh[:, 0], gh[:, 1])
 
 
-def _expand_rows(scale: complex, betas: np.ndarray, alpha: float) -> np.ndarray:
-    """signal_from_selection of every row of betas at phase alpha, as (B, p+1) entries.
+def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi) -> None:
+    """Multiply the coefficient columns (re, im), k factors in, by (z + w), in place.
 
-    Bitwise equal to that reference. np.poly multiplies in one factor
-    (z - beta) per pair; with w = -beta, coefficient j becomes
-    a[j-1]*w + a[j], and the loop below spells out the real operations in
-    the order np.convolve's complex dot (OpenBLAS zdotu) performs them.
-    Rows whose roots are closed under conjugation get np.poly's real branch.
+    Bitwise np.poly: with w = -beta, coefficient j becomes a[j-1]*w + a[j],
+    and the line below spells out the real operations in the order
+    np.convolve's complex dot (OpenBLAS zdotu) performs them.
     """
-    b, p = betas.shape
-    re = np.zeros((p + 1, b))
-    im = np.zeros((p + 1, b))
+    pr, pi, cr, ci = re[: k + 1], im[: k + 1], re[1 : k + 2], im[1 : k + 2]
+    re[1 : k + 2], im[1 : k + 2] = (pr * wr + cr) - pi * wi, pr * wi + (pi * wr + ci)
+
+
+def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> list:
+    """signal_from_selection of the selections with these codes, in order, at anchor phase alpha.
+
+    Bitwise equal to that reference. After k factors a code's partial
+    product depends only on its low k bits, so the products of the first b
+    factors are built once for all 2^b low codes, by doubling (bit k clear
+    takes gamma_recip, set takes gamma); each block of codes starts from
+    that table and multiplies in the other p - b factors. Rows whose roots
+    are closed under conjugation get np.poly's real branch; no row can be
+    unless some root's conjugate is a root of the pairing.
+    """
+    p = pairing.n_pairs
+    re, im = np.zeros((p + 1, 1)), np.zeros((p + 1, 1))
     re[0] = 1.0
-    wr, wi = np.ascontiguousarray(-betas.real.T), np.ascontiguousarray(-betas.imag.T)
-    for k in range(p):
-        pr, pi, cr, ci = re[: k + 1], im[: k + 1], re[1 : k + 2], im[1 : k + 2]
-        re[1 : k + 2], im[1 : k + 2] = (pr * wr[k] + cr) - pi * wi[k], pr * wi[k] + (pi * wr[k] + ci)
-    im[:, np.all(np.sort(betas, axis=1) == np.sort(betas.conj(), axis=1), axis=1)] = 0.0
-    coeffs = np.empty((b, p + 1), np.complex128)
-    coeffs.real, coeffs.imag = re.T, im.T
-    gain = np.exp(1j * alpha) * (np.sqrt(abs(scale)) / np.sqrt(np.prod(np.abs(betas), axis=1)))
-    return gain[:, None] * coeffs
-
-
-def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> list:
-    """signal_from_selection of the selections with these codes, in order, at anchor phase alpha."""
+    for k in range(b):
+        gamma, gamma_recip = pairing.pairs[k]
+        w = -np.repeat(np.array([gamma_recip, gamma]), 1 << k)
+        re, im = np.tile(re, 2), np.tile(im, 2)
+        _factor_in(re, im, k, w.real, w.imag)
+    roots = {z for pair in pairing.pairs for z in pair}
+    closable = any(z.conjugate() in roots for z in roots)
     signals = []
     for lo, hi in _blocks(codes.size):
-        rows = _expand_rows(pairing.scale, _picked_roots(pairing, codes[lo:hi]), alpha)
-        signals.extend(ComplexSignal.from_rows(rows))
+        block = codes[lo:hi]
+        betas = _picked_roots(pairing, block)
+        low = block & ((1 << b) - 1)
+        br, bi = re[:, low], im[:, low]
+        wr, wi = -betas.real.T, -betas.imag.T
+        for k in range(b, p):
+            _factor_in(br, bi, k, wr[k], wi[k])
+        if closable:
+            bi[:, np.all(np.sort(betas, axis=1) == np.sort(betas.conj(), axis=1), axis=1)] = 0.0
+        rows = np.empty((betas.shape[0], p + 1), np.complex128)
+        rows.real, rows.imag = br.T, bi.T
+        gain = np.exp(1j * alpha) * (np.sqrt(abs(pairing.scale)) / np.sqrt(np.prod(np.abs(betas), axis=1)))
+        signals.extend(ComplexSignal.from_rows(gain[:, None] * rows))
     return signals
 
 
@@ -106,10 +125,9 @@ def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
     to signal_from_selection. Raises EnumerationBudgetExceeded past 24 pairs.
     """
     p = _check_budget(pairing)
-    choices = [()]
-    for _ in range(p):
-        choices = [c + (False,) for c in choices] + [c + (True,) for c in choices]
-    return SolutionSet(pairing, zip(choices, _expand(pairing, np.arange(1 << p), 0.0)))
+    choices = [c[::-1] for c in itertools.product((False, True), repeat=p)]
+    signals = _expand(pairing, np.arange(1 << p), 0.0, min(p, RESIDUAL_BLOCK_BITS))
+    return SolutionSet(pairing, zip(choices, signals))
 
 
 def _phase_fixed(e: np.ndarray) -> np.ndarray:
@@ -145,10 +163,13 @@ def canonicalize(x: ComplexSignal) -> ComplexSignal:
 
 def _anchor_power(x0: complex) -> float:
     """|x0|^2, the divisor of the anchored product identity; ZeroAnchor
-    when it is 0, for x0 = 0 and for an x0 whose square underflows."""
-    power = abs(complex(x0)) ** 2
-    if power == 0:
-        raise ZeroAnchor(f"x(0) = {complex(x0)} cannot anchor: |x(0)|^2 is 0 in double precision")
+    when it is 0 (x0 = 0, or a square that underflows) or overflows."""
+    try:
+        power = abs(complex(x0)) ** 2
+    except OverflowError:
+        power = math.inf
+    if not 0 < power < math.inf:
+        raise ZeroAnchor(f"x(0) = {complex(x0)} cannot anchor: |x(0)|^2 is {power:g} in double precision")
     return power
 
 
@@ -168,7 +189,7 @@ def anchor_residuals(pairing: ZeroPairing, x0: complex) -> np.ndarray:
 
     Bitwise equal to that reference: rows are reduced by np.prod in pair
     order and measured with hypot. Raises EnumerationBudgetExceeded past
-    24 pairs and ZeroAnchor when |x0|^2 is 0.
+    24 pairs and ZeroAnchor when |x0|^2 is 0 or overflows.
     """
     p = _check_budget(pairing)
     target = complex(pairing.scale) / _anchor_power(x0)
@@ -195,7 +216,7 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
     if not survivors.size:
         raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
     choices = map(tuple, _code_bits(survivors, pairing.n_pairs).tolist())
-    return SolutionSet(pairing, zip(choices, _expand(pairing, survivors, float(np.angle(x0)))))
+    return SolutionSet(pairing, zip(choices, _expand(pairing, survivors, float(np.angle(x0)), 0)))
 
 
 def filter_by_anchor(sols: SolutionSet, x0: complex, tol: float = ANCHOR_REL_TOL) -> SolutionSet:

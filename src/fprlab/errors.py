@@ -52,7 +52,7 @@ class ZeroSignal(FprlabError):
 
 
 class ZeroAnchor(FprlabError):
-    """An anchor x(0) with |x(0)|^2 = 0 in double precision cannot anchor a solution."""
+    """An anchor x(0) whose |x(0)|^2 is 0 or overflows in double precision cannot anchor a solution."""
 
 
 class NoFeasibleSolution(FprlabError):

@@ -10,6 +10,7 @@ roots-and-pairing stage of the pipeline: autocorrelation in, ZeroPairing out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,19 @@ def pair_tolerance(gamma: complex) -> float:
     """Matching tolerance for the residual gamma * conj(partner) - 1.
 
     The residual scales like |gamma|^2 under equal relative root error,
-    hence the magnitude-aware floor.
+    hence the magnitude-aware floor. Past |gamma| ~ 1.34e154 the square
+    leaves the double range and the tolerance is inf, as numpy gives it.
     """
-    return 1e-6 * max(1.0, abs(gamma) ** 2)
+    try:
+        return 1e-6 * max(1.0, float(abs(gamma)) ** 2)
+    except OverflowError:
+        return math.inf
+
+
+def _near_unit_circle(z: complex) -> bool:
+    """||z| - 1| within pair_tolerance(1); pair_tolerance(z) grows with
+    |z|^2 and would put every |z| past about 1e6 on the unit circle."""
+    return abs(abs(z) - 1.0) <= pair_tolerance(1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +104,7 @@ class ZeroPairing:
                 raise ValueError("paired roots must be nonzero")
             tau = pair_tolerance(g)
             if f:
-                if h != g or abs(abs(g) - 1.0) > tau:
+                if h != g or not _near_unit_circle(g):
                     raise ValueError("flagged pair must be a self-paired unit-circle root")
             elif abs(g * np.conj(h) - 1.0) > tau:
                 raise ValueError(f"pair ({g}, {h}) is not conjugate-reciprocal within tolerance")
@@ -202,7 +213,7 @@ def pair_roots(roots, scale: complex) -> ZeroPairing:
         j = int(np.argmin(resid))
         tau = pair_tolerance(g)
         if resid[j] > tau:
-            if abs(abs(g) - 1.0) <= tau:
+            if _near_unit_circle(g):
                 raise OddUnitCircleMultiplicity(
                     f"unit-circle root {g} lacks a second copy"
                 )
@@ -210,12 +221,7 @@ def pair_roots(roots, scale: complex) -> ZeroPairing:
                 f"no conjugate-reciprocal partner for {g} (best residual {resid[j]:.3e})"
             )
         h = pool.pop(j)
-        on_circle = (
-            abs(abs(g) - 1.0) <= tau
-            and abs(abs(h) - 1.0) <= tau
-            and abs(g - h) <= tau * max(1.0, abs(g))
-        )
-        if on_circle:
+        if _near_unit_circle(g) and _near_unit_circle(h) and abs(g - h) <= tau * max(1.0, abs(g)):
             mid = (g + h) / 2.0
             mid = mid / abs(mid)
             pairs.append((mid, mid))

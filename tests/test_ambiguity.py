@@ -324,10 +324,15 @@ def test_enumeration_matches_per_selection_reference():
 
     Every code of the first 4 corpus pairings of each size up to 10 pairs
     (more would cost seconds of reference expansion), a stride through
-    both 13-pair pairings that takes in codes 4095 and 4096 on either side
-    of the block boundary, pairings that reach np.poly's real branch, the
-    flagged self-pair of [1, -1], and the empty pairing.
+    13-pair pairings that takes in codes 4095 and 4096 on either side of
+    the block boundary, pairings that reach np.poly's real branch, the
+    flagged self-pair of [1, -1], and the empty pairing. The 13-pair
+    pairings are the generic corpus ones, where no root's conjugate is a
+    root, and two closable ones: real roots (-u, -1/u), and six pairs of
+    exact conjugate partners ahead of a real pair, so that codes 0, 4095,
+    4096 and 8191 take np.poly's real branch in both blocks.
     """
+    p13 = sorted({*range(0, 1 << 13, 97), 4095, 4096, (1 << 13) - 1})
     cases, taken = [], Counter()
     for pairing, _ in _differential_corpus()[::2]:
         p = pairing.n_pairs
@@ -335,7 +340,15 @@ def test_enumeration_matches_per_selection_reference():
             taken[p] += 1
             cases.append((pairing, range(1 << p)))
         elif p == 13:
-            cases.append((pairing, sorted({*range(0, 1 << p, 97), 4095, 4096, (1 << p) - 1})))
+            roots = np.array(pairing.pairs).ravel()
+            assert not np.any(roots.conj()[:, None] == roots)
+            cases.append((pairing, p13))
+    assert sum(codes is p13 for _, codes in cases) == 2
+    us = 2.0 + 0.25 * np.arange(13)
+    cases.append((ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us), (False,) * 13), p13))
+    gs = [(1.1 + 0.2 * k) * np.exp(1j * (0.3 + 0.4 * k)) for k in range(6)]
+    partners = [pair for g in gs for pair in ((g, 1 / np.conj(g)), (np.conj(g), 1 / g))]
+    cases.append((ZeroPairing(5.0, (*partners, (-2.0, -0.5)), (False,) * 13), p13))
     cases += [(pairing, range(1 << pairing.n_pairs)) for pairing in _real_polynomial_pairings()]
     _, flagged = pairing_of_signal(ComplexSignal(np.array([1.0, -1.0])))
     assert flagged.unit_circle_flags == (True,)
@@ -348,3 +361,18 @@ def test_enumeration_matches_per_selection_reference():
             ref = signal_from_selection(RootSelection(pairing, choices))
             assert got[v][0] == choices
             assert got[v][1].entries.tobytes() == ref.entries.tobytes()
+
+
+def test_large_root_pairs_off_the_unit_circle():
+    """[1, t] has roots -t and -1/t. pair_tolerance(-1/t) grows like 1/t^2;
+    measured against it rather than at unit scale, every |1/t| past ~1e6
+    would sit on the unit circle and the pair would be flagged."""
+    for t in 10.0 ** -np.arange(3, 10):
+        x = ComplexSignal(np.array([1.0, t]))
+        _, pairing = pairing_of_signal(x)
+        assert pairing.unit_circle_flags == (False,)
+        (g, h), = pairing.pairs
+        assert g == pytest.approx(-1 / t, rel=1e-9) and h == pytest.approx(-t, rel=1e-9)
+        got = [sig.entries for sig in enumerate_solutions(pairing).signals()]
+        assert np.allclose(got, [[1.0, t], [t, 1.0]], rtol=1e-9, atol=0)
+        assert oracle_solve(PRInstance.from_pairing(pairing, 1.0)).final.entries == pytest.approx([1.0, t])

@@ -302,3 +302,31 @@ def test_one_entry_signal_matches_its_pairing(tmp_path, capsys):
         del results[-1]["wall_ms"]
     assert results[0] == results[1]
     assert results[0]["n"] == 1 and results[0]["recovered"] is True
+
+
+def test_squares_past_the_double_range(tmp_path, capsys):
+    """|z|^2 overflows past |z| ~ 1.34e154. An anchor that large cannot
+    anchor; a root that large gets an infinite pair tolerance, and its
+    pairing meets no anchor of 1 and defines no real spectrum. All are
+    typed errors, not tracebacks."""
+    huge_anchor = {"kind": "pairing", "scale": [1, 0], "pairs": [[[-2, 0], [-0.5, 0]]], "anchor": [1e200, 0]}
+    huge_root = {"kind": "pairing", "scale": [1, 0], "pairs": [[[1e200, 0], [5, 0]]], "anchor": [1, 0]}
+    for doc, argv, message in [
+        (huge_anchor, ["enumerate"], "cannot anchor"),
+        (huge_anchor, ["solve", "--solver", "oracle"], "cannot anchor"),
+        (huge_root, ["enumerate"], "no selection matches anchor"),
+        (huge_root, ["solve", "--solver", "oracle"], "real spectrum"),
+    ]:
+        code, out, err = run(capsys, [argv[0], write(tmp_path, "doc.json", doc), *argv[1:]])
+        assert code == 2, (doc, argv)
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_large_root_signal_is_solved(tmp_path, capsys):
+    """[1, 1e-6] has a root at -1e6. Paired as a unit-circle root, it
+    would make the oracle reject the signal's own anchor."""
+    path = write(tmp_path, "sig.json", {"kind": "signal", "entries": [[1, 0], [1e-6, 0]]})
+    code, out, err = run(capsys, ["solve", path, "--solver", "oracle"])
+    assert code == 0, err
+    assert json.loads(out)["recovered"] is True
