@@ -16,6 +16,7 @@ carry an "anchor".
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -60,10 +61,14 @@ def _is_real(value) -> bool:
 
 def _complex_in(value, where: str) -> complex:
     if _is_real(value):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
-        return complex(value[0], value[1])
-    raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
+        z = complex(value[0], value[1])
+    else:
+        raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    if not cmath.isfinite(z):
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    return z
 
 
 def _complex_out(z: complex) -> list:
@@ -224,11 +229,11 @@ def _recovered(final: ComplexSignal, truths: list) -> bool:
 def cmd_solve(args) -> int:
     signal, pairing, anchor = load_retrieval(args.input, "solve")
     if signal is not None:
-        inst = PRInstance.from_signal(signal, grid_mult=args.grid_mult, pairing=pairing)
+        inst = PRInstance.from_signal(signal, pairing=pairing)
     elif anchor is None:
         raise ParseError("solve on a pairing requires an 'anchor' value")
     else:
-        inst = PRInstance.from_pairing(pairing, anchor, grid_mult=args.grid_mult)
+        inst = PRInstance.from_pairing(pairing, anchor)
     solver = _solver_by_name(args.solver)
     cfg = SolverConfig(
         max_iters=args.iters,
@@ -267,7 +272,7 @@ def cmd_decide(args) -> int:
         cfg = SolverConfig(max_iters=args.iters, seed=args.seed or 0)
     elif args.seed is not None:
         raise ParseError("decide --seed applies only together with --iters")
-    decision = decide_pp(pp, solver, cfg=cfg, grid_mult=args.grid_mult)
+    decision = decide_pp(pp, solver, cfg=cfg)
     _emit_doc(
         {
             "kind": "decision",
@@ -336,11 +341,11 @@ def cmd_bench(args) -> int:
         for t in range(args.trials):
             rng = np.random.default_rng((args.seed, size, t))
             if args.suite == "hard":
-                hard, gt = planted_retrieval(size, rng, grid_mult=args.grid_mult)
+                hard, gt = planted_retrieval(size, rng)
                 inst = hard.pr
             else:
                 gt, pairing = generic_instance(size, rng)
-                inst = PRInstance.from_signal(gt, grid_mult=args.grid_mult, pairing=pairing)
+                inst = PRInstance.from_signal(gt, pairing=pairing)
             iid = f"n{size}_t{t:03d}"
             for si, name in enumerate(names):
                 cfg = SolverConfig(
@@ -412,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default="er", help="er, hio, wf or oracle")
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-mult", type=int, default=4)
     p.add_argument("--loss-tol", type=float, default=1e-12)
     p.add_argument("--step-size", type=float, default=1e-3)
     p.add_argument("--beta", type=float, default=0.9)
@@ -424,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default="oracle")
     p.add_argument("--iters", type=int, default=None, help="override the per-round budget")
     p.add_argument("--seed", type=int, default=None, help="solver seed; needs --iters")
-    p.add_argument("--grid-mult", type=int, default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_decide)
 
@@ -440,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solvers", default="er,hio,wf,oracle", help="comma list")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--grid-mult", type=int, default=4)
     p.add_argument("--out", default=None, help="CSV path; stdout when omitted")
     p.set_defaults(func=cmd_bench)
 

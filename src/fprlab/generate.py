@@ -99,7 +99,7 @@ def all_pp_instances(n: int, lo: int = 2, hi: int = 6):
             yield PPInstance(u)
 
 
-def planted_retrieval(n: int, rng: np.random.Generator, grid_mult: int = 4):
+def planted_retrieval(n: int, rng: np.random.Generator):
     """Random solvable hard instance plus its planted solution.
 
     Returns (hard, signal) where signal is the exact planted solution of
@@ -107,6 +107,6 @@ def planted_retrieval(n: int, rng: np.random.Generator, grid_mult: int = 4):
     exactly representable in doubles.
     """
     pp = random_solvable_pp(n, rng)
-    hard = construct_hard_instance(pp, grid_mult=grid_mult)
+    hard = construct_hard_instance(pp)
     witness = brute_force_pp(pp).witness
     return hard, ground_truth_signal(pp, witness)

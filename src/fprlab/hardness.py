@@ -140,13 +140,13 @@ def _identity_sides(pp: PPInstance, gamma) -> tuple:
     return top, pp.u[-1] * rest
 
 
-def _witnesses(pp: PPInstance, budget: int):
+def _witnesses(pp: PPInstance):
     """Solution subsets in increasing integer encoding (bit k-1 is index k),
     tested by the exact, division-free identity
     prod_Gamma^2 == u_N * prod(all of u_1..u_{N-1}).
     """
-    if pp.n > budget:
-        raise BudgetExceeded(f"N={pp.n} exceeds brute-force budget {budget}")
+    if pp.n > BRUTE_FORCE_BUDGET:
+        raise BudgetExceeded(f"N={pp.n} exceeds brute-force budget {BRUTE_FORCE_BUDGET}")
     rest = pp.u[:-1]
     target = pp.u[-1]
     p = len(rest)
@@ -160,47 +160,47 @@ def _witnesses(pp: PPInstance, budget: int):
             yield frozenset(k + 1 for k in range(p) if (v >> k) & 1)
 
 
-def brute_force_pp(pp: PPInstance, budget: int = BRUTE_FORCE_BUDGET) -> PPDecision:
+def brute_force_pp(pp: PPInstance) -> PPDecision:
     """Exhaustive reference decision: the first witness in encoding order."""
-    witness = next(_witnesses(pp, budget), None)
+    witness = next(_witnesses(pp), None)
     answer = PPAnswer.NO_SOLUTION if witness is None else PPAnswer.HAS_SOLUTION
     return PPDecision(answer, witness, ())
 
 
-def enumerate_witnesses(pp: PPInstance, budget: int = BRUTE_FORCE_BUDGET) -> list:
+def enumerate_witnesses(pp: PPInstance) -> list:
     """Every solution subset, in increasing integer encoding."""
-    return list(_witnesses(pp, budget))
+    return list(_witnesses(pp))
 
 
-def _pr_from_values(values, u_last: int, anchor_exact: int, grid_mult: int = 4) -> PRInstance:
+def _embedding(values, u_last: int, u_max: int) -> PRInstance:
+    """Float retrieval instance planting values as zero pairs (-u, -1/u).
+
+    With N = len(values) + 1: anchor u_max^(N-1) and top lag
+    anchor^2 * u_last. Refuses once u_max^(2N) exceeds 2^52, where double
+    precision would silently round the planted integers.
+    """
+    n = len(values) + 1
+    if u_max ** (2 * n) > 2 ** 52:
+        raise OverflowBeyondPrecision(
+            f"u_max^(2N) = {u_max ** (2 * n)} exceeds 2^52; exact mode only"
+        )
+    anchor = float(u_max ** (n - 1))
     pairs = tuple((-float(v), -1.0 / v) for v in values)
-    flags = (False,) * len(pairs)
-    scale = float(anchor_exact) ** 2 * u_last
-    pairing = ZeroPairing(scale, pairs, flags)
-    return PRInstance.from_pairing(pairing, float(anchor_exact), grid_mult)
+    pairing = ZeroPairing(anchor ** 2 * u_last, pairs, (False,) * len(pairs))
+    return PRInstance.from_pairing(pairing, anchor)
 
 
-def construct_hard_instance(pp: PPInstance, grid_mult: int = 4, want_float: bool = True) -> HardInstance:
+def construct_hard_instance(pp: PPInstance, want_float: bool = True) -> HardInstance:
     """Embed a product-partition instance as a retrieval instance.
 
     anchor = u_max^(N-1) and top lag |anchor|^2 * u_N, zero pairs
     (-u_k, -1/u_k) for k = 1..N-1. The exact integers are always
-    recorded; the float instance is built only when want_float and its
-    construction refuses to proceed once u_max^(2N) exceeds 2^52, where
-    double precision would silently round the planted integers.
+    recorded; the float instance is built by _embedding only when
+    want_float, and refused past u_max^(2N) > 2^52.
     """
-    u_max = pp.u_max
-    n = pp.n
-    anchor_exact = u_max ** (n - 1)
-    scale_exact = anchor_exact * anchor_exact * pp.u[-1]
-    pr = None
-    if want_float:
-        if u_max ** (2 * n) > 2 ** 52:
-            raise OverflowBeyondPrecision(
-                f"u_max^(2N) = {u_max ** (2 * n)} exceeds 2^52; exact mode only"
-            )
-        pr = _pr_from_values(pp.u[:-1], pp.u[-1], anchor_exact, grid_mult)
-    return HardInstance(pp, pr, anchor_exact, scale_exact)
+    anchor_exact = pp.u_max ** (pp.n - 1)
+    pr = _embedding(pp.u[:-1], pp.u[-1], pp.u_max) if want_float else None
+    return HardInstance(pp, pr, anchor_exact, anchor_exact * anchor_exact * pp.u[-1])
 
 
 def _check_witness(pp: PPInstance, gamma_set) -> frozenset:
@@ -323,7 +323,6 @@ def decide_pp(
     pp: PPInstance,
     solver,
     cfg: SolverConfig | None = None,
-    grid_mult: int = 4,
 ) -> PPDecision:
     """Decide a product-partition instance through retrieval plus readout.
 
@@ -338,7 +337,9 @@ def decide_pp(
     NoFeasibleSolution from the solver, running out of survivors and a
     failed identity all mean no solution. The anchor keeps the
     admission-time u_max through removals, so shrunken rounds stay
-    well-posed even when the largest value was removed.
+    well-posed even when the largest value was removed. Every round is
+    built by _embedding, so an instance past u_max^(2N) > 2^52 raises
+    OverflowBeyondPrecision, as construct_hard_instance does.
     """
     u_max = pp.u_max
     survivors = list(range(1, pp.n))
@@ -346,7 +347,7 @@ def decide_pp(
     while survivors:
         n_cur = len(survivors) + 1
         values = [pp.u[k - 1] for k in survivors]
-        inst = _pr_from_values(values, pp.u[-1], u_max ** (n_cur - 1), grid_mult)
+        inst = _embedding(values, pp.u[-1], u_max)
         run_cfg = cfg or SolverConfig(
             max_iters=reduction_iteration_budget(n_cur, u_max), seed=0
         )

@@ -87,6 +87,26 @@ def test_booleans_are_not_numbers(tmp_path, capsys):
     assert "anchor" in err
 
 
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        # JSON 1e400 parses to inf; Python's json also reads NaN and Infinity
+        ("enumerate", '{"kind":"pairing","scale":[1,0],"pairs":[[[1e400,0],[5,0]]]}', "pairs[0][0]"),
+        ("solve", '{"kind":"pairing","scale":[NaN,0],"pairs":[[[-2,0],[-0.5,0]]],"anchor":[1,0]}', "scale"),
+        ("solve", '{"kind":"pairing","scale":[1,0],"pairs":[[[-2,0],[-0.5,0]]],"anchor":-Infinity}', "anchor"),
+        ("autocorr", '{"kind":"signal","entries":[[1,0],[2,NaN]]}', "entries[1]"),
+    ],
+)
+def test_non_finite_numbers_are_parse_errors(tmp_path, capsys, command, text, field):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = [command, str(path)] + (["--solver", "oracle"] if command == "solve" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
 def test_enumerate_signal(tmp_path, capsys):
     path = write(tmp_path, "sig3.json", SIGNAL_3)
     code, out, _ = run(capsys, ["enumerate", path])
@@ -186,6 +206,15 @@ def test_decide_exit_codes(tmp_path, capsys):
     assert json.loads(out)["answer"] == "no_solution"
     assert run(capsys, ["decide", bad])[0] == 2
     assert run(capsys, ["decide", yes, "--solver", "bogus"])[0] == 2
+
+
+def test_decide_refuses_past_double_precision(tmp_path, capsys):
+    # 362^8 > 2^52: refused like construct_hard_instance, since the planted integers would round
+    path = write(tmp_path, "big.json", {"kind": "pp", "u": [166, 362, 166, 362]})
+    code, out, err = run(capsys, ["decide", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "2^52" in err
 
 
 def test_decide_seed_needs_iters(tmp_path, capsys):
@@ -305,17 +334,20 @@ def test_one_entry_signal_matches_its_pairing(tmp_path, capsys):
 
 
 def test_squares_past_the_double_range(tmp_path, capsys):
-    """|z|^2 overflows past |z| ~ 1.34e154. An anchor that large cannot
-    anchor; a root that large gets an infinite pair tolerance, and its
-    pairing meets no anchor of 1 and defines no real spectrum. All are
-    typed errors, not tracebacks."""
+    """|z|^2 overflows past |z| ~ 1.34e154, so an anchor that large
+    cannot anchor. The pair tolerance is linear in |gamma|, so a root
+    that large, or one of 1e7, with a partner that is not its conjugate
+    reciprocal fails the pairing check. All are typed errors, not
+    tracebacks."""
     huge_anchor = {"kind": "pairing", "scale": [1, 0], "pairs": [[[-2, 0], [-0.5, 0]]], "anchor": [1e200, 0]}
     huge_root = {"kind": "pairing", "scale": [1, 0], "pairs": [[[1e200, 0], [5, 0]]], "anchor": [1, 0]}
+    large_root = {"kind": "pairing", "scale": [1, 0], "pairs": [[[1e7, 0], [5, 0]]]}
     for doc, argv, message in [
         (huge_anchor, ["enumerate"], "cannot anchor"),
         (huge_anchor, ["solve", "--solver", "oracle"], "cannot anchor"),
-        (huge_root, ["enumerate"], "no selection matches anchor"),
-        (huge_root, ["solve", "--solver", "oracle"], "real spectrum"),
+        (huge_root, ["enumerate"], "conjugate-reciprocal"),
+        (huge_root, ["solve", "--solver", "oracle"], "conjugate-reciprocal"),
+        (large_root, ["enumerate"], "conjugate-reciprocal"),
     ]:
         code, out, err = run(capsys, [argv[0], write(tmp_path, "doc.json", doc), *argv[1:]])
         assert code == 2, (doc, argv)

@@ -103,10 +103,55 @@ def test_overflow_guard():
     pp = PPInstance((6,) * 11 + (4,))
     with pytest.raises(OverflowBeyondPrecision):
         construct_hard_instance(pp)
+    with pytest.raises(OverflowBeyondPrecision):
+        decide_pp(pp, oracle_solve)
     hard = construct_hard_instance(pp, want_float=False)
     assert hard.pr is None
     assert hard.anchor_exact == 6 ** 11
     assert hard.scale_exact == 6 ** 22 * 4
+    # solvable ({1,2} and {2,3}), but 362^8 > 2^52: with the planted
+    # integers rounded, the readout can miss the solution
+    with pytest.raises(OverflowBeyondPrecision):
+        decide_pp(PPInstance((166, 362, 166, 362)), oracle_solve)
+
+
+def _recording_solver(seen, entries):
+    sig = ComplexSignal(np.asarray(entries, dtype=np.complex128))
+
+    def solver(inst, cfg=None):
+        seen.append(inst)
+        return IterateTrace((sig,), np.array([0.0]), True)
+
+    return solver
+
+
+@pytest.mark.parametrize("u", [(2, 3, 6), (2, 2, 3, 3), (2, 2, 3, 3, 5), (3, 5, 4, 6, 5)])
+def test_decide_first_round_is_the_hard_instance(u):
+    pp = PPInstance(u)
+    seen = []
+    decide_pp(pp, _recording_solver(seen, [1.0]))
+    got, want = seen[0], construct_hard_instance(pp).pr
+    assert got.pairing.pairs == want.pairing.pairs
+    assert got.pairing.unit_circle_flags == want.pairing.unit_circle_flags
+    assert got.pairing.scale == want.pairing.scale
+    assert got.anchor == want.anchor
+    assert got.normalization == want.normalization
+    assert got.grid.omegas.tobytes() == want.grid.omegas.tobytes()
+    assert got.grid.values.tobytes() == want.grid.values.tobytes()
+
+
+@pytest.mark.parametrize("u, kept", [((2, 2, 3, 3, 5), 3), ((3, 3, 2, 2, 5), 2)])
+def test_decide_removal_round_keeps_the_admission_anchor(u, kept):
+    # both roots of u_1 force the removal of (1, 2); the second round
+    # plants the kept pair under the anchor u_max^(n_cur-1) = 3^2, also
+    # when the removed value was u_max
+    seen = []
+    decide_pp(PPInstance(u), _recording_solver(seen, np.poly([-u[0], -1.0 / u[0]])))
+    assert len(seen) == 2
+    second = seen[1]
+    assert second.pairing.pairs == ((-float(kept), -1.0 / kept),) * 2
+    assert second.anchor == 9.0
+    assert second.pairing.scale == 81.0 * 5
 
 
 def test_ground_truth_exact_frozen():
