@@ -8,8 +8,8 @@ down further, generically to a single survivor.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +20,11 @@ from .errors import (
     ZeroAnchor,
     ZeroSignal,
 )
-from .signal_core import ComplexSignal
+from .signal_core import ComplexSignal, checked_block
 from .ztransform import RootSelection, ZeroPairing
 
 ENUM_BUDGET_PAIRS = 24
+ENUM_BUDGET_BYTES = 1 << 30
 ANCHOR_REL_TOL = 1e-6
 CANON_DECIMALS = 9
 RESIDUAL_BLOCK_BITS = 12
@@ -31,22 +32,68 @@ RESIDUAL_BLOCK_BITS = 12
 
 @dataclass(frozen=True, eq=False)
 class SolutionSet:
-    """Signals sharing one intensity, tagged by their choice vectors."""
+    """Signals sharing one intensity, one per choice-vector code.
+
+    Row i of the (K, N) complex128 block ``rows`` is the signal of the
+    choice vector encoded by ``codes[i]`` (bit k picks gamma for pair k).
+    The set takes the block over: it is checked and frozen in place, not
+    copied. Choice tuples and signals are derived when read, and every
+    signal is a row view, so one kept signal keeps the whole set alive.
+    """
 
     pairing: ZeroPairing
-    solutions: tuple
+    codes: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "solutions", tuple(self.solutions))
+        codes = np.asarray(self.codes, dtype=np.int64)
+        rows = checked_block(np.asarray(self.rows, dtype=np.complex128))
+        if codes.shape != rows.shape[:1] or rows.shape[1] != self.pairing.n_pairs + 1:
+            raise ValueError("a solution set needs one code per row and n_pairs + 1 entries per row")
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def solutions(self) -> "_Solutions":
+        """Read-only sequence of (choice tuple, ComplexSignal), in code order."""
+        return _Solutions(self)
 
     def signals(self) -> list:
-        return [sig for _, sig in self.solutions]
+        return ComplexSignal.row_views(self.rows)
 
 
-def _check_budget(pairing: ZeroPairing) -> int:
+class _Solutions(Sequence):
+    """A SolutionSet's (choice tuple, signal) pairs, each built when indexed."""
+
+    def __init__(self, sols: SolutionSet):
+        self._sols = sols
+
+    def __len__(self) -> int:
+        return self._sols.codes.size
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if isinstance(i, range):
+            return tuple(self[j] for j in i)
+        sols = self._sols
+        code = int(sols.codes[i])
+        choice = tuple(bool(code >> k & 1) for k in range(sols.pairing.n_pairs))
+        return choice, ComplexSignal.row_views(sols.rows[i : i + 1])[0]
+
+
+def _check_budget(pairing: ZeroPairing, bytes_per_selection: int = 0) -> int:
+    """The pair count p; EnumerationBudgetExceeded past ENUM_BUDGET_PAIRS
+    pairs, or when 2^p selections of bytes_per_selection each would pass
+    ENUM_BUDGET_BYTES."""
     p = pairing.n_pairs
     if p > ENUM_BUDGET_PAIRS:
         raise EnumerationBudgetExceeded(f"{p} pairs exceed the {ENUM_BUDGET_PAIRS}-pair budget")
+    need = (1 << p) * bytes_per_selection
+    if need > ENUM_BUDGET_BYTES:
+        raise EnumerationBudgetExceeded(
+            f"{1 << p} selections need {need} bytes, over the {ENUM_BUDGET_BYTES}-byte budget"
+        )
     return p
 
 
@@ -78,8 +125,9 @@ def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi) -> None:
     re[1 : k + 2], im[1 : k + 2] = (pr * wr + cr) - pi * wi, pr * wi + (pi * wr + ci)
 
 
-def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> list:
-    """signal_from_selection of the selections with these codes, in order, at anchor phase alpha.
+def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> np.ndarray:
+    """(len(codes), p + 1) block whose rows are signal_from_selection of
+    the selections with these codes, in order, at anchor phase alpha.
 
     Bitwise equal to that reference. After k factors a code's partial
     product depends only on its low k bits, so the products of the first b
@@ -99,7 +147,7 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> li
         _factor_in(re, im, k, w.real, w.imag)
     roots = {z for pair in pairing.pairs for z in pair}
     closable = any(z.conjugate() in roots for z in roots)
-    signals = []
+    out = np.empty((codes.size, p + 1), np.complex128)
     for lo, hi in _blocks(codes.size):
         block = codes[lo:hi]
         betas = _picked_roots(pairing, block)
@@ -110,24 +158,25 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> li
             _factor_in(br, bi, k, wr[k], wi[k])
         if closable:
             bi[:, np.all(np.sort(betas, axis=1) == np.sort(betas.conj(), axis=1), axis=1)] = 0.0
-        rows = np.empty((betas.shape[0], p + 1), np.complex128)
+        rows = out[lo:hi]
         rows.real, rows.imag = br.T, bi.T
         gain = np.exp(1j * alpha) * (np.sqrt(abs(pairing.scale)) / np.sqrt(np.prod(np.abs(betas), axis=1)))
-        signals.extend(ComplexSignal.from_rows(gain[:, None] * rows))
-    return signals
+        np.multiply(gain[:, None], rows, out=rows)
+    return out
 
 
 def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
     """Expand every root selection, ordered by choice-vector integer encoding.
 
     Bit k of the encoding picks gamma (True) or gamma_recip (False) for
-    pair k. The signals are built as arrays, block by block, bitwise equal
-    to signal_from_selection. Raises EnumerationBudgetExceeded past 24 pairs.
+    pair k. The signals are built as one array, block by block, bitwise
+    equal to signal_from_selection. Raises EnumerationBudgetExceeded past
+    24 pairs, or before allocating anything when the codes and rows, 16 N + 8
+    bytes per selection, would pass ENUM_BUDGET_BYTES.
     """
-    p = _check_budget(pairing)
-    choices = [c[::-1] for c in itertools.product((False, True), repeat=p)]
-    signals = _expand(pairing, np.arange(1 << p), 0.0, min(p, RESIDUAL_BLOCK_BITS))
-    return SolutionSet(pairing, zip(choices, signals))
+    p = _check_budget(pairing, 16 * (pairing.n_pairs + 1) + 8)
+    codes = np.arange(1 << p)
+    return SolutionSet(pairing, codes, _expand(pairing, codes, 0.0, min(p, RESIDUAL_BLOCK_BITS)))
 
 
 def _phase_fixed(e: np.ndarray) -> np.ndarray:
@@ -215,8 +264,7 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
     survivors = np.flatnonzero(anchor_residuals(pairing, x0) <= anchor_threshold(pairing, x0, tol))
     if not survivors.size:
         raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
-    choices = map(tuple, _code_bits(survivors, pairing.n_pairs).tolist())
-    return SolutionSet(pairing, zip(choices, _expand(pairing, survivors, float(np.angle(x0)), 0)))
+    return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0)), 0))
 
 
 def filter_by_anchor(sols: SolutionSet, x0: complex, tol: float = ANCHOR_REL_TOL) -> SolutionSet:

@@ -5,8 +5,9 @@ of a signal on a frequency grid equals the trigonometric sum of its
 autocorrelation on that grid, and a fine enough uniform grid determines
 the autocorrelation back again. Everything is a pure function on
 immutable values; arrays held by the dataclasses are read-only. Signals
-built in bulk by ComplexSignal.from_rows share one read-only copy of
-their block, so a single kept signal keeps its whole block alive.
+built in bulk (ComplexSignal.from_rows, or read from an
+ambiguity.SolutionSet) are read-only row views of one checked block, so
+a single kept signal keeps its whole block alive.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 
 def _checked_entries(arr: np.ndarray) -> np.ndarray:
-    """Check and freeze a private complex128 copy; each row along the
+    """Check and freeze complex128 entries in place; each row along the
     last axis holds one signal's entries."""
     if arr.shape[-1] < 1:
         raise ValueError("signal needs at least one entry")
@@ -35,6 +36,13 @@ def _checked_entries(arr: np.ndarray) -> np.ndarray:
         raise ValueError("signal entries must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def checked_block(block: np.ndarray) -> np.ndarray:
+    """Check and freeze, in place, a 2-D complex128 block of signal rows."""
+    if block.ndim != 2:
+        raise ValueError("rows must form a 2-D block")
+    return _checked_entries(block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +71,14 @@ class ComplexSignal:
         The block is copied, checked and frozen once; each signal holds a
         read-only row view of that private copy.
         """
-        block = np.array(rows, dtype=np.complex128, copy=True)
-        if block.ndim != 2:
-            raise ValueError("rows must form a 2-D block")
+        return cls.row_views(checked_block(np.array(rows, dtype=np.complex128, copy=True)))
+
+    @classmethod
+    def row_views(cls, block: np.ndarray) -> list:
+        """One signal per row of a block that checked_block has passed,
+        each holding a read-only row view of it: nothing is copied."""
         out = []
-        for row in _checked_entries(block):
+        for row in block:
             sig = object.__new__(cls)
             object.__setattr__(sig, "entries", row)
             object.__setattr__(sig, "full_support", False)

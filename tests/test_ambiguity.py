@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fprlab import ambiguity
 from fprlab.ambiguity import (
     ANCHOR_REL_TOL,
+    SolutionSet,
     anchor_residuals,
     anchor_threshold,
     anchored_solutions,
@@ -26,6 +29,7 @@ from fprlab.errors import (
 )
 from fprlab.errors import FprlabError
 from fprlab.generate import random_signal
+from fprlab.hardness import PPInstance, construct_hard_instance
 from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity, uniform_grid
 from fprlab.solvers import PRInstance, oracle_solve
 from fprlab.ztransform import (
@@ -376,3 +380,105 @@ def test_large_root_pairs_off_the_unit_circle():
         got = [sig.entries for sig in enumerate_solutions(pairing).signals()]
         assert np.allclose(got, [[1.0, t], [t, 1.0]], rtol=1e-9, atol=0)
         assert oracle_solve(PRInstance.from_pairing(pairing, 1.0)).final.entries == pytest.approx([1.0, t])
+
+
+def _assert_views(sols, want):
+    """The pairs, signals and slices a set derives match the choice tuples
+    want and the set's own rows, bit for bit, and cannot be written."""
+    pairs, k = sols.solutions, len(want)
+    assert len(pairs) == k == sols.rows.shape[0] == sols.codes.size
+    assert [c for c, _ in pairs] == want
+    for i, sig in enumerate(sols.signals()):
+        assert sig.entries.tobytes() == sols.rows[i].tobytes() == pairs[i][1].entries.tobytes()
+        assert sig.n == sols.pairing.n_pairs + 1 and sig.full_support is False
+        with pytest.raises(ValueError):
+            sig.entries[0] = 1.0
+    for frozen in (pairs[-1][1].entries, sols.rows, sols.codes):
+        with pytest.raises(ValueError):
+            frozen[0] = 1
+    with pytest.raises(ValueError):
+        pairs[0][1].entries.setflags(write=True)
+    ref = tuple(zip(want, range(k)))
+    slices = (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, k + 5), slice(3, 1), slice(-1, None))
+    for key in slices:
+        got = pairs[key]
+        assert type(got) is tuple and [c for c, _ in got] == [c for c, _ in ref[key]]
+        for (_, sig), (_, i) in zip(got, ref[key]):
+            assert sig.entries.tobytes() == sols.rows[i].tobytes()
+    for key in (0, -1, -k, k - 1, np.int64(k - 1)):
+        choice, sig = pairs[key]
+        assert choice == ref[key][0] and sig.entries.tobytes() == sols.rows[ref[key][1]].tobytes()
+    for key in (k, -k - 1):
+        with pytest.raises(IndexError):
+            pairs[key]
+    with pytest.raises(TypeError):
+        pairs[1.0]
+
+
+def test_solution_set_derived_views():
+    """Choice tuples and signals are derived from codes and one row block:
+    in the old itertools.product order for full sets, in survivor-code
+    order for an anchored set with several survivors."""
+    sizes = Counter()
+    for pairing, _ in _differential_corpus()[::2]:
+        p = pairing.n_pairs
+        if p <= 10:
+            sizes[p] += 1
+            want = [c[::-1] for c in itertools.product((False, True), repeat=p)]
+            _assert_views(enumerate_solutions(pairing), want)
+    assert set(sizes) == set(range(11))
+    pr = construct_hard_instance(PPInstance((3, 2, 3, 2, 3, 2, 3, 2, 36))).pr
+    threshold = anchor_threshold(pr.pairing, pr.anchor, ANCHOR_REL_TOL)
+    survivors = np.flatnonzero(anchor_residuals(pr.pairing, pr.anchor) <= threshold)
+    kept = anchored_solutions(pr.pairing, pr.anchor)
+    assert survivors.size == 16 and kept.codes.tolist() == survivors.tolist()
+    _assert_views(kept, [tuple(bits) for bits in ambiguity._code_bits(survivors, pr.pairing.n_pairs).tolist()])
+
+
+def test_solution_set_checks_its_block():
+    sols = enumerate_solutions(pairing_of_signal(ComplexSignal(np.array([9.0, 45.0, 54.0])))[1])
+    for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
+        rows = np.array(sols.rows)
+        rows[1, 2] = bad
+        with pytest.raises(ValueError, match="signal entries must be finite"):
+            SolutionSet(sols.pairing, sols.codes, rows)
+    with pytest.raises(ValueError, match="at least one entry"):
+        SolutionSet(sols.pairing, sols.codes, np.empty((4, 0)))
+    with pytest.raises(ValueError, match="2-D"):
+        SolutionSet(sols.pairing, sols.codes, np.ones(4))
+    for codes, rows in ((sols.codes[:3], sols.rows), (sols.codes, sols.rows[:, :2])):
+        with pytest.raises(ValueError, match="one code per row"):
+            SolutionSet(sols.pairing, codes, np.array(rows))
+    rows = np.array(sols.rows)
+    same = SolutionSet(sols.pairing, sols.codes, rows)
+    assert same.rows is rows and not rows.flags.writeable  # frozen in place, not copied
+
+
+def test_enumeration_byte_budget():
+    """2^p selections of 16 N + 8 bytes (a row and a code) are checked
+    before anything is allocated. 24 pairs would need 6.8 GB, so only the
+    check runs here; the anchored scan keeps only the pair budget."""
+    us = 2.0 + 0.1 * np.arange(24)
+    pairing = ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us), (False,) * 24)
+    need = (1 << 24) * (16 * 25 + 8)
+    assert ambiguity.ENUM_BUDGET_BYTES < need
+    with pytest.raises(EnumerationBudgetExceeded, match=f"{1 << 24} selections need {need} bytes"):
+        ambiguity._check_budget(pairing, 16 * 25 + 8)
+    assert ambiguity._check_budget(pairing) == 24
+
+
+def test_enumeration_bytes_per_selection():
+    """Peak allocation of a 16-pair enumeration stays under twice the
+    16 N + 8 bytes per selection that the set keeps. With 2^16 selections
+    the 2^12-code block temporaries are a small share of the peak."""
+    _, pairing = pairing_of_signal(random_signal(17, np.random.default_rng(16)))
+    p = pairing.n_pairs
+    assert p == 16
+    tracemalloc.start()
+    try:
+        sols = enumerate_solutions(pairing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sols.solutions) == 1 << p
+    assert peak < 2 * (1 << p) * (16 * (p + 1) + 8)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fprlab import ambiguity
 from fprlab.cli import main
 
 SIGNAL_2 = {"kind": "signal", "entries": [[1.0, 0.0], [-2.0, 0.0]]}
@@ -115,6 +116,23 @@ def test_enumerate_signal(tmp_path, capsys):
     assert doc["total_selections"] == 4
     assert doc["count"] == 2
     assert doc["anchored"] is False
+
+
+def test_enumerate_byte_budget_exits_2(tmp_path, monkeypatch, capsys):
+    # 5 pairs: 32 selections of 16 * 6 + 8 bytes; the anchored path checks only the pair count
+    entries = [[1, 0], [2, 1], [0.5, -1], [3, 0.2], [-1, 1], [2, 0]]
+    signal = write(tmp_path, "sig6.json", {"kind": "signal", "entries": entries})
+    monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 32 * 104)
+    code, out, err = run(capsys, ["enumerate", signal])
+    assert code == 0, err
+    assert json.loads(out)["total_selections"] == 32
+    monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 32 * 104 - 1)
+    code, out, err = run(capsys, ["enumerate", signal])
+    assert code == 2
+    assert out == ""
+    assert err == "error: 32 selections need 3328 bytes, over the 3327-byte budget\n"
+    monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 0)
+    assert run(capsys, ["enumerate", write(tmp_path, "pairing.json", PAIRING_3)])[0] == 0
 
 
 def test_enumerate_anchored_pairing(tmp_path, capsys):

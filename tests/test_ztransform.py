@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fprlab import ztransform
 from fprlab.errors import (
     DegenerateLeadingLag,
     NonConvergence,
@@ -158,6 +159,22 @@ def test_find_roots_residual_gate():
         warnings.simplefilter("error")
         roots = find_roots(s)
     assert roots[0] == pytest.approx(-1e300)
+
+
+def test_find_roots_bound_at_its_boundary(monkeypatch):
+    """The gate passes a root iff (resid / (tau * max|c|))^(1/D) <= max(1, |root|).
+
+    With polish off, the root 2.25 of z^2 - 4 keeps the residual 1.0625
+    exactly, so tau sets rel. rel = 5 lies under |root|^D = 5.0625 and
+    passes; rel = 8 lies in (|root|^D, |root|^(D+1)] and fails, where a
+    (D+1)-th-root rule would let it through.
+    """
+    monkeypatch.setattr(ztransform, "NEWTON_STEPS", 0)
+    monkeypatch.setattr(np, "roots", lambda desc: np.array([2.25, -2.0], dtype=np.complex128))
+    poly = PolyCoeffs(np.array([-4.0, 0.0, 1.0]))
+    assert list(find_roots(poly, tau_root=1.0625 / (4 * 5.0))) == [-2.0, 2.25]
+    with pytest.raises(NonConvergence, match="residual 1.062e"):
+        find_roots(poly, tau_root=1.0625 / (4 * 8.0))
 
 
 def test_pair_roots_unpairable():
