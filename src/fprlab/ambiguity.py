@@ -20,7 +20,7 @@ from .errors import (
     ZeroAnchor,
     ZeroSignal,
 )
-from .signal_core import ComplexSignal, checked_block
+from .signal_core import ComplexSignal, frozen
 from .ztransform import RootSelection, ZeroPairing
 
 ENUM_BUDGET_PAIRS = 24
@@ -35,10 +35,11 @@ class SolutionSet:
     """Signals sharing one intensity, one per choice-vector code.
 
     Row i of the (K, N) complex128 block ``rows`` is the signal of the
-    choice vector encoded by ``codes[i]`` (bit k picks gamma for pair k).
-    The set takes the block over: it is checked and frozen in place, not
-    copied. Choice tuples and signals are derived when read, and every
-    signal is a row view, so one kept signal keeps the whole set alive.
+    choice vector encoded by ``codes[i]`` (bit k picks gamma for pair k),
+    K >= 1. The set takes a block that owns its data over: it is checked
+    and frozen in place, not copied (signal_core.frozen copies any other).
+    Choice tuples and signals are derived when read, and every signal is
+    a row view, so one kept signal keeps the whole set alive.
     """
 
     pairing: ZeroPairing
@@ -46,11 +47,10 @@ class SolutionSet:
     rows: np.ndarray
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        rows = checked_block(np.asarray(self.rows, dtype=np.complex128))
+        rows = frozen(np.asarray(self.rows, dtype=np.complex128), "signal", 2)
+        codes = frozen(np.asarray(self.codes, dtype=np.int64), "solution codes")
         if codes.shape != rows.shape[:1] or rows.shape[1] != self.pairing.n_pairs + 1:
             raise ValueError("a solution set needs one code per row and n_pairs + 1 entries per row")
-        codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "rows", rows)
 
@@ -250,7 +250,14 @@ def anchor_residuals(pairing: ZeroPairing, x0: complex) -> np.ndarray:
 
 
 def anchor_threshold(pairing: ZeroPairing, x0: complex, tol: float) -> float:
-    """Accept bound tol * |r(N-1)| / |x0|^2 on an anchor residual."""
+    """Accept bound tol * |r(N-1)| / |x0|^2 on an anchor residual.
+
+    ValueError unless tol is finite and nonnegative: NaN or a negative tol
+    would reject every selection and so certify a false NoFeasibleSolution,
+    and an infinite one would accept every selection.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"anchor tol must be finite and nonnegative, got {tol}")
     return tol * abs(complex(pairing.scale)) / _anchor_power(x0)
 
 

@@ -61,10 +61,6 @@ class NoFeasibleSolution(FprlabError):
 
 # solvers
 
-class GridMismatch(FprlabError):
-    """Two sample sets live on different frequency grids."""
-
-
 class StepDiverged(FprlabError):
     """Gradient iteration blew up past the divergence guard."""
 

@@ -4,14 +4,24 @@ The three types here are tied together by exact identities: the intensity
 of a signal on a frequency grid equals the trigonometric sum of its
 autocorrelation on that grid, and a fine enough uniform grid determines
 the autocorrelation back again. Everything is a pure function on
-immutable values; arrays held by the dataclasses are read-only. Signals
-built in bulk (ComplexSignal.from_rows, or read from an
-ambiguity.SolutionSet) are read-only row views of one checked block, so
-a single kept signal keeps its whole block alive.
+immutable values.
+
+Every array a value type holds, here and in ztransform, solvers and
+ambiguity, passes through ``frozen`` once, when the value is built.
+The constructor decides only whether it copies its input first; then
+``frozen`` checks the block shape, at least one entry per row and that
+every entry is finite, freezes the array that owns the data (copying
+an array that does not) and hands back a read-only view of it. A view
+cannot be made writable again while its owner is frozen, so no holder
+of a value, nor of a signal cut from a block, can turn writes back on.
+Signals built in bulk (ComplexSignal.from_rows, or read from an
+ambiguity.SolutionSet) are such row views of one frozen block, so a
+single kept signal keeps its whole block alive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,28 +31,25 @@ from .errors import ImaginaryResidueExceeded, InsufficientSamples, NonUniformGri
 DEFAULT_TOL = 1e-9
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True).reshape(-1)
-    arr.setflags(write=False)
-    return arr
+def frozen(arr: np.ndarray, what: str, ndim: int = 1) -> np.ndarray:
+    """Check arr, freeze the array that holds its data and return a read-only view.
 
-
-def _checked_entries(arr: np.ndarray) -> np.ndarray:
-    """Check and freeze complex128 entries in place; each row along the
-    last axis holds one signal's entries."""
+    arr must be ndim-D with at least one entry per row (along the last
+    axis) and every entry finite; ValueError names it as what otherwise.
+    The caller hands over arr: if it owns its data it is frozen in place,
+    not copied; any other array is copied first, since only a frozen
+    owner keeps its views from being made writable again.
+    """
+    if not arr.flags.owndata:
+        arr = arr.copy()
+    if arr.ndim != ndim:
+        raise ValueError(f"{what} needs a {ndim}-D array, got {arr.ndim}-D")
     if arr.shape[-1] < 1:
-        raise ValueError("signal needs at least one entry")
+        raise ValueError(f"{what} needs at least one entry")
     if not np.isfinite(arr).all():
-        raise ValueError("signal entries must be finite")
+        raise ValueError(f"{what} entries must be finite")
     arr.setflags(write=False)
-    return arr
-
-
-def checked_block(block: np.ndarray) -> np.ndarray:
-    """Check and freeze, in place, a 2-D complex128 block of signal rows."""
-    if block.ndim != 2:
-        raise ValueError("rows must form a 2-D block")
-    return _checked_entries(block)
+    return arr.view()
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +65,7 @@ class ComplexSignal:
     full_support: bool = False
 
     def __post_init__(self):
-        arr = _checked_entries(np.array(self.entries, dtype=np.complex128, copy=True).reshape(-1))
+        arr = frozen(np.asarray(self.entries, dtype=np.complex128).flatten(), "signal")
         if self.full_support and (arr[0] == 0 or arr[-1] == 0):
             raise ValueError("full_support signal requires nonzero end entries")
         object.__setattr__(self, "entries", arr)
@@ -71,12 +78,12 @@ class ComplexSignal:
         The block is copied, checked and frozen once; each signal holds a
         read-only row view of that private copy.
         """
-        return cls.row_views(checked_block(np.array(rows, dtype=np.complex128, copy=True)))
+        return cls.row_views(frozen(np.array(rows, dtype=np.complex128), "signal", 2))
 
     @classmethod
     def row_views(cls, block: np.ndarray) -> list:
-        """One signal per row of a block that checked_block has passed,
-        each holding a read-only row view of it: nothing is copied."""
+        """One signal per row of a 2-D block that frozen has passed, each
+        holding a read-only row view of it: nothing is copied or checked."""
         out = []
         for row in block:
             sig = object.__new__(cls)
@@ -108,11 +115,7 @@ class Autocorrelation:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries, np.complex128)
-        if arr.size < 1:
-            raise ValueError("autocorrelation needs at least one lag")
-        if not np.isfinite(arr).all():
-            raise ValueError("autocorrelation lags must be finite")
+        arr = frozen(np.asarray(self.entries, dtype=np.complex128).flatten(), "autocorrelation")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -136,14 +139,10 @@ class SpectrumSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        om = _frozen_array(self.omegas, np.float64)
-        vals = _frozen_array(self.values, np.float64)
+        om = frozen(np.asarray(self.omegas, dtype=np.float64).flatten(), "sample angles")
+        vals = frozen(np.asarray(self.values, dtype=np.float64).flatten(), "sample values")
         if om.size != vals.size:
             raise ValueError("omegas and values must have equal length")
-        if om.size < 1:
-            raise ValueError("at least one sample required")
-        if not (np.isfinite(om).all() and np.isfinite(vals).all()):
-            raise ValueError("samples must be finite")
         object.__setattr__(self, "omegas", om)
         object.__setattr__(self, "values", vals)
 
@@ -189,15 +188,19 @@ def spectrum_from_autocorr(r: Autocorrelation, omegas, tol: float = DEFAULT_TOL)
     omegas : array_like
         Angles to evaluate on, any real values.
     tol : float
-        Absolute bound on the imaginary residue of the sum. A clean r
-        produces an exactly conjugate-symmetric sum, so residue beyond
-        tol signals corrupted input.
+        Absolute bound on the imaginary residue of the sum, finite and
+        nonnegative. A clean r produces an exactly conjugate-symmetric
+        sum, so residue beyond tol signals corrupted input.
 
     Raises
     ------
+    ValueError
+        If tol is negative or not finite (NaN would turn the check off).
     ImaginaryResidueExceeded
         If any sample's imaginary part exceeds tol before clamping.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"imaginary residue tol must be finite and nonnegative, got {tol}")
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
     n = r.n
     lags = np.arange(-(n - 1), n)

@@ -29,13 +29,14 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import GridMismatch, StepDiverged
+from .errors import StepDiverged
 from .signal_core import (
     ComplexSignal,
     SpectrumSamples,
     autocorrelation,
     check_uniform_grid,
     fourier_intensity,
+    frozen,
     spectrum_from_autocorr,
     uniform_grid,
 )
@@ -132,14 +133,12 @@ class IterateTrace:
     converged: bool
 
     def __post_init__(self):
-        losses = np.array(self.losses, dtype=np.float64).reshape(-1)
+        # one row per iterate, so that the empty trace passes too
+        losses = frozen(np.asarray(self.losses, dtype=np.float64).reshape(-1, 1), "loss", 2)[:, 0]
         if len(self.iterates) != losses.size:
             raise ValueError("one loss per iterate required")
-        if losses.size and not np.isfinite(losses).all():
-            raise ValueError("losses must be finite")
-        if losses.size and np.any(losses < 0):
+        if (losses < 0).any():
             raise ValueError("losses must be nonnegative")
-        losses.setflags(write=False)
         object.__setattr__(self, "iterates", tuple(self.iterates))
         object.__setattr__(self, "losses", losses)
 
@@ -148,23 +147,15 @@ class IterateTrace:
         return self.iterates[-1]
 
 
-def _intensity_on(z, s: SpectrumSamples) -> np.ndarray:
-    if isinstance(z, SpectrumSamples):
-        if z.m != s.m or not np.allclose(z.omegas, s.omegas, rtol=0.0, atol=1e-12):
-            raise GridMismatch("sample grids differ")
-        return np.maximum(z.values, 0.0)
-    return fourier_intensity(z, s.omegas).values
-
-
-def amplitude_loss(z, s: SpectrumSamples) -> float:
-    """sum_j (|Z(omega_j)| - sqrt(R_j))^2; z may be a signal or intensity samples."""
-    ivals = _intensity_on(z, s)
+def amplitude_loss(z: ComplexSignal, s: SpectrumSamples) -> float:
+    """sum_j (|Z(omega_j)| - sqrt(R_j))^2 on the angles of s."""
+    ivals = fourier_intensity(z, s.omegas).values
     return float(np.sum((np.sqrt(ivals) - np.sqrt(np.maximum(s.values, 0.0))) ** 2))
 
 
-def intensity_loss(z, s: SpectrumSamples) -> float:
-    """sum_j (|Z(omega_j)|^2 - R_j)^2; z may be a signal or intensity samples."""
-    ivals = _intensity_on(z, s)
+def intensity_loss(z: ComplexSignal, s: SpectrumSamples) -> float:
+    """sum_j (|Z(omega_j)|^2 - R_j)^2 on the angles of s."""
+    ivals = fourier_intensity(z, s.omegas).values
     return float(np.sum((ivals - s.values) ** 2))
 
 

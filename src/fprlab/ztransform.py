@@ -21,7 +21,7 @@ from .errors import (
     UnpairableRoots,
     ZeroArgument,
 )
-from .signal_core import Autocorrelation, ComplexSignal
+from .signal_core import Autocorrelation, ComplexSignal, frozen
 
 TAU_ROOT = 1e-9
 NEWTON_STEPS = 5
@@ -54,17 +54,11 @@ class PolyCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128, copy=True).reshape(-1)
-        if arr.size < 1:
-            raise ValueError("polynomial needs at least one coefficient")
-        if not np.isfinite(arr).all():
-            raise ValueError("coefficients must be finite")
+        arr = frozen(np.asarray(self.coeffs, dtype=np.complex128).flatten(), "polynomial")
         nz = np.nonzero(arr)[0]
         if nz.size == 0:
             raise ValueError("zero polynomial has no root structure")
-        arr = arr[: nz[-1] + 1]
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", arr[: nz[-1] + 1])
 
     @property
     def degree(self) -> int:

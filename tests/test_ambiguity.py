@@ -435,6 +435,18 @@ def test_solution_set_derived_views():
     _assert_views(kept, [tuple(bits) for bits in ambiguity._code_bits(survivors, pr.pairing.n_pairs).tolist()])
 
 
+def test_anchor_tol_must_be_finite_and_nonnegative():
+    """A NaN or negative tol would reject every selection, a false
+    NoFeasibleSolution certificate; an infinite one would keep them all."""
+    pairing = pairing_of_signal(ComplexSignal(np.array([9.0, 45.0, 54.0])))[1]
+    for bad in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="anchor tol"):
+            anchor_threshold(pairing, 9.0, bad)
+        with pytest.raises(ValueError, match="anchor tol"):
+            anchored_solutions(pairing, 9.0, bad)
+    assert anchor_threshold(pairing, 9.0, 0.0) == 0.0
+
+
 def test_solution_set_checks_its_block():
     sols = enumerate_solutions(pairing_of_signal(ComplexSignal(np.array([9.0, 45.0, 54.0])))[1])
     for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
@@ -451,7 +463,7 @@ def test_solution_set_checks_its_block():
             SolutionSet(sols.pairing, codes, np.array(rows))
     rows = np.array(sols.rows)
     same = SolutionSet(sols.pairing, sols.codes, rows)
-    assert same.rows is rows and not rows.flags.writeable  # frozen in place, not copied
+    assert np.shares_memory(same.rows, rows) and not rows.flags.writeable  # frozen in place, not copied
 
 
 def test_enumeration_byte_budget():

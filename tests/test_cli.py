@@ -146,6 +146,14 @@ def test_enumerate_anchored_pairing(tmp_path, capsys):
     assert np.allclose(entries, [9.0, 45.0, 54.0], rtol=1e-6)
 
 
+@pytest.mark.parametrize("command, doc, name", [("autocorr", SIGNAL_3, "imaginary residue tol"), ("enumerate", PAIRING_3, "anchor tol")])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, command, doc, name, tol):
+    code, out, err = run(capsys, [command, write(tmp_path, "doc.json", doc), "--tol", tol])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be finite and nonnegative, got ")
+
+
 def test_solve_oracle_on_signal(tmp_path, capsys):
     path = write(tmp_path, "sig3.json", SIGNAL_3)
     code, out, _ = run(capsys, ["solve", path, "--solver", "oracle"])

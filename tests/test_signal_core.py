@@ -174,6 +174,49 @@ def test_arrays_are_read_only():
         r.entries[0] = 5.0
 
 
+def test_no_held_array_can_be_made_writable():
+    """Every array a value type holds, whether built alone, cut from a
+    checked block or read from a solution set, refuses both item
+    assignment and setflags(write=True)."""
+    from fprlab.ambiguity import SolutionSet, anchored_solutions, enumerate_solutions
+    from fprlab.solvers import PRInstance, SolverConfig, error_reduction_solve, oracle_solve
+    from fprlab.ztransform import build_S_poly, factor
+
+    x = ComplexSignal(np.array([9.0, 45.0, 54.0]))
+    r = autocorrelation(x)
+    inst = PRInstance.from_signal(x)
+    sampled = spectrum_from_autocorr(r, uniform_grid(5))
+    trace = error_reduction_solve(inst, SolverConfig(max_iters=3))
+    held = [
+        x.entries, x.conj_reflect().entries, r.entries, autocorr_from_spectrum(sampled, 3).entries,
+        sampled.omegas, sampled.values, inst.grid.omegas, inst.grid.values,
+        build_S_poly(r).coeffs, trace.losses, oracle_solve(inst).losses,
+    ]
+    held += [sig.entries for sig in trace.iterates + tuple(ComplexSignal.from_rows(np.ones((2, 3))))]
+    for sols in (enumerate_solutions(factor(r)), anchored_solutions(inst.pairing, inst.anchor)):
+        held += [sols.codes, sols.rows] + [sig.entries for sig in sols.signals()]
+        held += [sig.entries for _, sig in sols.solutions]
+    # arrays that do not own their data are copied, then frozen; the source stays writable
+    source = np.array(sols.rows)
+    from_views = SolutionSet(sols.pairing, sols.codes[::-1], source[::-1])
+    held += [from_views.codes, from_views.rows, from_views.signals()[0].entries]
+    assert source.flags.writeable and not np.shares_memory(from_views.rows, source)
+    for arr in held:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+
+
+def test_spectrum_tol_must_be_finite_and_nonnegative():
+    r = autocorrelation(ComplexSignal(np.array([9.0, 45.0, 54.0])))
+    for bad in (-1.0, -1e-300, np.nan, np.inf):
+        with pytest.raises(ValueError, match="imaginary residue tol"):
+            spectrum_from_autocorr(r, uniform_grid(5), tol=bad)
+    one = spectrum_from_autocorr(Autocorrelation(np.array([4.0])), uniform_grid(3), tol=0.0)
+    assert one.values.tolist() == [4.0, 4.0, 4.0]
+
+
 def test_from_rows_contract():
     rng = np.random.default_rng(5)
     block = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
