@@ -108,10 +108,20 @@ def _code_bits(codes: np.ndarray, p: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(p)) & 1).astype(bool)
 
 
-def _picked_roots(pairing: ZeroPairing, codes: np.ndarray) -> np.ndarray:
-    """Row i holds the roots that code codes[i] picks, in pair order."""
-    gh = np.array(pairing.pairs, dtype=np.complex128).reshape(-1, 2)
+def _root_array(pairing: ZeroPairing) -> np.ndarray:
+    """(p, 2) array whose row k is pair k's (gamma, gamma_recip)."""
+    return np.array(pairing.pairs, dtype=np.complex128).reshape(-1, 2)
+
+
+def _picked_roots(gh: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Row i holds the roots of the _root_array gh that code codes[i] picks, in pair order."""
     return np.where(_code_bits(codes, len(gh)), gh[:, 0], gh[:, 1])
+
+
+def _residuals(gh: np.ndarray, codes: np.ndarray, target: complex) -> np.ndarray:
+    """|prod(-beta) - target| of the codes' selections: np.prod in pair order, then hypot."""
+    d = np.prod(-_picked_roots(gh, codes), axis=1) - target
+    return np.hypot(d.real, d.imag)
 
 
 def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi) -> None:
@@ -147,10 +157,11 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> np
         _factor_in(re, im, k, w.real, w.imag)
     roots = {z for pair in pairing.pairs for z in pair}
     closable = any(z.conjugate() in roots for z in roots)
+    gh = _root_array(pairing)
     out = np.empty((codes.size, p + 1), np.complex128)
     for lo, hi in _blocks(codes.size):
         block = codes[lo:hi]
-        betas = _picked_roots(pairing, block)
+        betas = _picked_roots(gh, block)
         low = block & ((1 << b) - 1)
         br, bi = re[:, low], im[:, low]
         wr, wi = -betas.real.T, -betas.imag.T
@@ -237,15 +248,16 @@ def anchor_residuals(pairing: ZeroPairing, x0: complex) -> np.ndarray:
     """product_constraint of every choice vector, in integer-encoding order.
 
     Bitwise equal to that reference: rows are reduced by np.prod in pair
-    order and measured with hypot. Raises EnumerationBudgetExceeded past
+    order and measured with hypot. The full scan is the reference that
+    _survivor_codes must match. Raises EnumerationBudgetExceeded past
     24 pairs and ZeroAnchor when |x0|^2 is 0 or overflows.
     """
     p = _check_budget(pairing)
     target = complex(pairing.scale) / _anchor_power(x0)
+    gh = _root_array(pairing)
     out = np.empty(1 << p)
     for lo, hi in _blocks(1 << p):
-        d = np.prod(-_picked_roots(pairing, np.arange(lo, hi)), axis=1) - target
-        out[lo:hi] = np.hypot(d.real, d.imag)
+        out[lo:hi] = _residuals(gh, np.arange(lo, hi), target)
     return out
 
 
@@ -261,14 +273,84 @@ def anchor_threshold(pairing: ZeroPairing, x0: complex, tol: float) -> float:
     return tol * abs(complex(pairing.scale)) / _anchor_power(x0)
 
 
+def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray:
+    """Codes whose anchor residual is within anchor_threshold, increasing.
+
+    Bitwise np.flatnonzero(anchor_residuals(pairing, x0) <= thr), found
+    without a complex product per selection. Since ||P| - |T|| <= |P - T|,
+    a survivor's root product P has log|P| in [log(|T| - thr),
+    log(|T| + thr)], and log|P| is the sum of its roots' log-moduli. The
+    sums of the first b = min(p, RESIDUAL_BLOCK_BITS) pairs form one table
+    in code order (doubling, bit k clear takes gamma_recip); each high code
+    adds its own sum to it, one block of 2^b codes at a time. Only the
+    codes in the window get anchor_residuals' arithmetic, and those within
+    thr are kept.
+
+    Rounding bound (u = 2^-53; a = the sum of |log|root|| over both roots
+    of every pair, which bounds |log| of every partial product). A survivor
+    has |P_fp - T| <= thr(1 + 4u): one rounding in the subtraction, one in
+    hypot. abs(target) is |T| to 3u relative, and np.prod's p - 1 complex
+    products, each within sqrt(5)u, keep |P_fp| within 3pu of |P|. Each
+    log-modulus is within 3u(1 + |log|root||), and the p - 1 additions of
+    a sum add at most 1.01(p - 1)u a. So the window's linear edges are
+    |T|(1 -/+ 2^-49) -/+ thr, where 2^-49 = 16u also covers the rounding
+    of the edges' own arithmetic, and their logs are widened by
+    E = 4u(p + 2)(2 + a + L), L the larger |log| of the two edges, which
+    exceeds the sum of the errors above. The lower edge is -inf when its
+    linear edge is not positive. The bounds need every partial product in
+    the normal range: a <= 700 (e^700 ~ 1e304) and |T| in [1e-300, 1e300].
+    Otherwise every code is a candidate.
+    """
+    p = _check_budget(pairing)
+    target = complex(pairing.scale) / _anchor_power(x0)
+    thr = anchor_threshold(pairing, x0, tol)
+    gh = _root_array(pairing)
+    lg = np.log(np.abs(gh))
+    a = sum(map(abs, lg.ravel().tolist()))
+    t_mod = abs(target)
+    if a <= 700.0 and 1e-300 <= t_mod <= 1e300:
+        lo_lin, hi_lin = t_mod * (1 - 2.0**-49) - thr, t_mod * (1 + 2.0**-49) + thr
+        hi = math.log(hi_lin)
+        lo = math.log(lo_lin) if lo_lin > 0 else -math.inf
+        slack = 2.0**-51 * (p + 2) * (2 + a + max(abs(hi), abs(lo) if lo_lin > 0 else 0.0))
+        lo, hi = lo - slack, hi + slack
+    else:
+        lg, lo, hi = np.zeros_like(lg), -math.inf, math.inf
+    b = min(p, RESIDUAL_BLOCK_BITS)
+    low = _log_sums(lg[:b])
+
+    def survivors(sums: np.ndarray, base: int) -> np.ndarray:
+        codes = ((sums >= lo) & (sums <= hi)).nonzero()[0]
+        if not codes.size:
+            return codes
+        codes += base
+        return codes[_residuals(gh, codes, target) <= thr]
+
+    if p == b:
+        return survivors(low, 0)
+    return np.concatenate([survivors(low + s, h << b) for h, s in enumerate(_log_sums(lg[b:]))])
+
+
+def _log_sums(lg: np.ndarray) -> np.ndarray:
+    """Sum of the picked log-moduli of the rows of lg = log|(gamma, gamma_recip)|,
+    for every code in order, built by doubling: bit k clear takes gamma_recip."""
+    sums = np.zeros(1)
+    for pair in lg[:, ::-1, None]:
+        sums = (pair + sums).ravel()
+    return sums
+
+
 def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_REL_TOL) -> SolutionSet:
     """Selections whose anchor residual is within anchor_threshold, in
     choice-vector order. Only they are expanded, with alpha = arg(x0).
 
-    Raises NoFeasibleSolution when nothing survives, which certifies the
-    anchor is inconsistent with the pairing.
+    The survivors come from _survivor_codes, which checks only the codes
+    whose root-product modulus can match the anchor; the result is the
+    same as thresholding anchor_residuals. Raises NoFeasibleSolution when
+    nothing survives, which certifies the anchor is inconsistent with the
+    pairing.
     """
-    survivors = np.flatnonzero(anchor_residuals(pairing, x0) <= anchor_threshold(pairing, x0, tol))
+    survivors = _survivor_codes(pairing, x0, tol)
     if not survivors.size:
         raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
     return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0)), 0))

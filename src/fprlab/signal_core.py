@@ -216,7 +216,13 @@ def spectrum_from_autocorr(r: Autocorrelation, omegas, tol: float = DEFAULT_TOL)
 
 def check_uniform_grid(s: SpectrumSamples, n: int, tol: float = DEFAULT_TOL) -> None:
     """Raise InsufficientSamples unless m >= 2n-1, and NonUniformGrid
-    unless the sample angles are 2*pi*j/m within tol."""
+    unless the sample angles are 2*pi*j/m within tol.
+
+    ValueError unless tol is finite and nonnegative: a NaN tol makes the
+    comparison false, and an infinite one true, so either accepts any grid.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"grid tol must be finite and nonnegative, got {tol}")
     m = s.m
     if m < 2 * n - 1:
         raise InsufficientSamples(f"m={m} samples cannot determine {n} lags (need {2 * n - 1})")
@@ -236,6 +242,8 @@ def autocorr_from_spectrum(s: SpectrumSamples, n: int, tol: float = DEFAULT_TOL)
         If m < 2n-1.
     NonUniformGrid
         If the sample angles are not 2*pi*j/m within tol.
+    ValueError
+        If tol is negative, NaN or infinite.
     """
     if n < 1:
         raise ValueError("n must be positive")

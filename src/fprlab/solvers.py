@@ -8,8 +8,8 @@ schemes and one exact enumeration oracle share the instance type:
   the support-plus-anchor subspace; its amplitude loss never increases.
 - hybrid input-output: the classic feedback relaxation; not monotone.
 - Wirtinger flow: plain gradient descent on the squared intensity misfit.
-- oracle: test the root product of every selection against the anchor
-  and expand only the survivor.
+- oracle: search the selections whose root-product modulus can match
+  the anchor, check only those exactly, and expand the first survivor.
 
 Iterative schemes run on a copy of the instance rescaled so r(0) = 1 and
 report iterates and losses in original units; every reported iterate has
@@ -304,16 +304,17 @@ def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None, star
 
 
 def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
-    """Exact solve by exhaustive search: test every selection's root product
-    against the anchor and expand only the survivors.
+    """Exact solve by exhaustive search over root selections.
 
-    Returns the first anchor-consistent selection in choice-vector order
-    as a single-iterate trace. NoFeasibleSolution propagates when the
-    anchor rules every selection out; the enumeration budget applies.
+    ambiguity.anchored_solutions sums every selection's root log-moduli,
+    checks only the selections whose sum falls in the anchor's window
+    against the anchor exactly, and expands the survivors. Returns the
+    first anchor-consistent selection in choice-vector order as a
+    single-iterate trace. NoFeasibleSolution propagates when the anchor
+    rules every selection out; the enumeration budget applies.
     """
     del cfg, start
-    _, sig = ambiguity.anchored_solutions(inst.pairing, inst.anchor).solutions[0]
-    out = sig.entries.copy()
+    out = ambiguity.anchored_solutions(inst.pairing, inst.anchor).rows[0].copy()
     out[0] = inst.anchor
     found = ComplexSignal(out)
     loss = amplitude_loss(found, inst.grid)

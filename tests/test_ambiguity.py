@@ -28,7 +28,7 @@ from fprlab.errors import (
     ZeroSignal,
 )
 from fprlab.errors import FprlabError
-from fprlab.generate import random_signal
+from fprlab.generate import all_pp_instances, random_signal
 from fprlab.hardness import PPInstance, construct_hard_instance
 from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity, uniform_grid
 from fprlab.solvers import PRInstance, oracle_solve
@@ -305,6 +305,98 @@ def test_anchored_scan_matches_per_selection_reference():
         assert found.entries.tobytes() == expected.tobytes()
     assert feasible - several >= len(corpus) // 2
     assert several >= 20
+
+
+def _scan_codes(pairing, x0, tol):
+    """The survivor search's codes, asserted bitwise equal to the full residual scan's."""
+    want = np.flatnonzero(anchor_residuals(pairing, x0) <= anchor_threshold(pairing, x0, tol))
+    got = ambiguity._survivor_codes(pairing, x0, tol)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return want
+
+
+def _tol_at(pairing, x0, residual):
+    """A tol whose anchor_threshold is exactly residual, or None if no double reaches it."""
+    tol = residual / anchor_threshold(pairing, x0, 1.0)
+    for _ in range(4):
+        thr = anchor_threshold(pairing, x0, tol)
+        if thr == residual:
+            return tol
+        tol = float(np.nextafter(tol, np.inf if thr < residual else -np.inf))
+    return None
+
+
+def test_survivor_search_matches_full_scan_at_its_boundaries():
+    """_survivor_codes, which checks only the codes whose root-product
+    modulus falls in the anchor window, keeps exactly the codes the full
+    anchor_residuals scan keeps: on generic pairings with N = 2..16 (two
+    blocks past 12 pairs) at the true anchor and at 1.5x it, on every sweep
+    embedding, on the 16-survivor hard instance, on a flagged unit-circle
+    pair, on the empty pairing, at tol = 0 and at tols whose threshold
+    passes |T| = |r(N-1)|/|x0|^2, and on roots so far apart that partial
+    products leave double range. At a tol whose threshold equals a code's
+    residual, and one ulp of tol either side, the two still agree, for the
+    best code (a window of a few ulps) and the runner-up (a window that
+    ends at that code's modulus)."""
+    rng = np.random.default_rng(20261018)
+    generic, stepped = [], 0
+    for n in range(2, 17):
+        for _ in range(6 if n <= 12 else 2):
+            x = random_signal(n, rng)
+            try:
+                _, pairing = pairing_of_signal(x)
+            except FprlabError:
+                continue
+            generic.append((pairing, complex(x.entries[0])))
+    assert {pairing.n_pairs for pairing, _ in generic} == set(range(1, 16))
+    for pairing, x0 in generic:
+        kept = _scan_codes(pairing, x0, ANCHOR_REL_TOL)
+        assert kept.size == 1
+        _scan_codes(pairing, 1.5 * x0, ANCHOR_REL_TOL)
+        for tol in (0.0, 1.0, 3.0):
+            _scan_codes(pairing, x0, tol)
+        residuals = anchor_residuals(pairing, x0)
+        for code in np.argsort(residuals, kind="stable")[:2]:
+            tol = _tol_at(pairing, x0, float(residuals[code]))
+            if tol is None:
+                continue
+            stepped += 1
+            assert code in _scan_codes(pairing, x0, tol)
+            assert code in _scan_codes(pairing, x0, float(np.nextafter(tol, np.inf)))
+            if tol > 0:
+                _scan_codes(pairing, x0, float(np.nextafter(tol, -np.inf)))
+    assert stepped >= len(generic)
+    sweep = 0
+    for n in (3, 4, 5):
+        for pp in all_pp_instances(n, 2, 6):
+            pr = construct_hard_instance(pp).pr
+            sweep += 1
+            _scan_codes(pr.pairing, pr.anchor, ANCHOR_REL_TOL)
+    assert sweep == 3860
+    pr = construct_hard_instance(PPInstance((3, 2, 3, 2, 3, 2, 3, 2, 36))).pr
+    assert _scan_codes(pr.pairing, pr.anchor, ANCHOR_REL_TOL).size == 16
+    assert _scan_codes(pr.pairing, pr.anchor, 0.0).size == 16
+    _, flagged = pairing_of_signal(ComplexSignal(np.array([1.0, -1.0])))
+    assert flagged.unit_circle_flags == (True,)
+    assert _scan_codes(flagged, 1.0, ANCHOR_REL_TOL).size == 2
+    for scale, survivors in ((5.0, 1), (-4.0 + 3.0j, 0)):
+        assert _scan_codes(ZeroPairing(scale, (), ()), 2.0 + 1.0j, ANCHOR_REL_TOL).size == survivors
+    # |gamma| from 1e8 to 1e18: the log-moduli sum to ~10^2, and the
+    # rounding of that sum passes the 2^-49 relative slack on most draws, so
+    # a planted code's zero residual is found at tol = 0 only through the
+    # window's rounding widening E
+    for _ in range(8):
+        gammas = 10.0 ** rng.uniform(8, 18, 8) * np.exp(1j * rng.uniform(0, np.pi, 8))
+        planted = rng.integers(1 << 8, size=1)
+        picked = np.where(ambiguity._code_bits(planted, 8)[0], gammas, 1 / np.conj(gammas))
+        wide = ZeroPairing(complex(np.prod(-picked)), tuple(zip(gammas, 1 / np.conj(gammas))), (False,) * 8)
+        assert planted[0] in _scan_codes(wide, 1.0, 0.0)
+    # roots 1e200 and 1e-200 take partial products out of double range: code
+    # 0b1100 has the root product 1, but np.prod underflows it to 0, which
+    # is within a threshold of 2|T| of T = 1e-3
+    far = ZeroPairing(1e-3, ((1e200, 1e-200),) * 4, (False,) * 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert 0b1100 in _scan_codes(far, 1.0, 2.0)
 
 
 def _real_polynomial_pairings():

@@ -129,6 +129,19 @@ def test_nonuniform_grid_rejected():
         autocorr_from_spectrum(fourier_intensity(x, om), 3, tol=tol)
 
 
+def test_grid_tol_must_be_finite_and_nonnegative():
+    """A NaN tol would let any grid through: linspace(0, 1, 7) is no
+    uniform grid, and its lags would come out wrong."""
+    skewed = SpectrumSamples(np.linspace(0, 1, 7), np.ones(7))
+    for bad in (np.nan, -1.0, -1e-300, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="grid tol"):
+            autocorr_from_spectrum(skewed, 3, tol=bad)
+    with pytest.raises(NonUniformGrid):
+        autocorr_from_spectrum(skewed, 3)
+    flat = SpectrumSamples(uniform_grid(7), np.ones(7))
+    assert autocorr_from_spectrum(flat, 3, tol=0.0).entries.tolist() == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+
+
 def test_imaginary_residue_guard():
     # r(0) must be real for the trigonometric sum to be real; a complex
     # r(0) leaves a residue of exactly its imaginary part
