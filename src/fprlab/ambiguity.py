@@ -17,10 +17,11 @@ import numpy as np
 from .errors import (
     EnumerationBudgetExceeded,
     NoFeasibleSolution,
+    OverflowBeyondPrecision,
     ZeroAnchor,
     ZeroSignal,
 )
-from .signal_core import ComplexSignal, frozen
+from .signal_core import ComplexSignal, checked_tol, frozen
 from .ztransform import RootSelection, ZeroPairing
 
 ENUM_BUDGET_PAIRS = 24
@@ -108,20 +109,23 @@ def _code_bits(codes: np.ndarray, p: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(p)) & 1).astype(bool)
 
 
-def _root_array(pairing: ZeroPairing) -> np.ndarray:
-    """(p, 2) array whose row k is pair k's (gamma, gamma_recip)."""
-    return np.array(pairing.pairs, dtype=np.complex128).reshape(-1, 2)
+def _picked_roots(pairs: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Row i holds the roots of a pairing's pairs that code codes[i] picks, in pair order."""
+    return np.where(_code_bits(codes, len(pairs)), pairs[:, 0], pairs[:, 1])
 
 
-def _picked_roots(gh: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Row i holds the roots of the _root_array gh that code codes[i] picks, in pair order."""
-    return np.where(_code_bits(codes, len(gh)), gh[:, 0], gh[:, 1])
+def _residuals(pairs: np.ndarray, codes: np.ndarray, target: complex) -> np.ndarray:
+    """|prod(-beta) - target| of the codes' selections: np.prod in pair order, then hypot.
 
-
-def _residuals(gh: np.ndarray, codes: np.ndarray, target: complex) -> np.ndarray:
-    """|prod(-beta) - target| of the codes' selections: np.prod in pair order, then hypot."""
-    d = np.prod(-_picked_roots(gh, codes), axis=1) - target
-    return np.hypot(d.real, d.imag)
+    OverflowBeyondPrecision when a product or residual leaves double range:
+    an overflowed or underflowed product is no longer the root product.
+    """
+    try:
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            d = np.prod(-_picked_roots(pairs, codes), axis=1) - target
+            return np.hypot(d.real, d.imag)
+    except FloatingPointError as exc:
+        raise OverflowBeyondPrecision(f"a root product leaves double range ({exc})") from None
 
 
 def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi) -> None:
@@ -147,21 +151,19 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> np
     are closed under conjugation get np.poly's real branch; no row can be
     unless some root's conjugate is a root of the pairing.
     """
-    p = pairing.n_pairs
+    p, pairs = pairing.n_pairs, pairing.pairs
     re, im = np.zeros((p + 1, 1)), np.zeros((p + 1, 1))
     re[0] = 1.0
     for k in range(b):
-        gamma, gamma_recip = pairing.pairs[k]
-        w = -np.repeat(np.array([gamma_recip, gamma]), 1 << k)
+        w = -np.repeat(pairs[k, ::-1], 1 << k)
         re, im = np.tile(re, 2), np.tile(im, 2)
         _factor_in(re, im, k, w.real, w.imag)
-    roots = {z for pair in pairing.pairs for z in pair}
+    roots = set(pairs.ravel().tolist())
     closable = any(z.conjugate() in roots for z in roots)
-    gh = _root_array(pairing)
     out = np.empty((codes.size, p + 1), np.complex128)
     for lo, hi in _blocks(codes.size):
         block = codes[lo:hi]
-        betas = _picked_roots(gh, block)
+        betas = _picked_roots(pairs, block)
         low = block & ((1 << b) - 1)
         br, bi = re[:, low], im[:, low]
         wr, wi = -betas.real.T, -betas.imag.T
@@ -250,14 +252,14 @@ def anchor_residuals(pairing: ZeroPairing, x0: complex) -> np.ndarray:
     Bitwise equal to that reference: rows are reduced by np.prod in pair
     order and measured with hypot. The full scan is the reference that
     _survivor_codes must match. Raises EnumerationBudgetExceeded past
-    24 pairs and ZeroAnchor when |x0|^2 is 0 or overflows.
+    24 pairs, ZeroAnchor when |x0|^2 is 0 or overflows, and
+    OverflowBeyondPrecision when a root product leaves double range.
     """
     p = _check_budget(pairing)
     target = complex(pairing.scale) / _anchor_power(x0)
-    gh = _root_array(pairing)
     out = np.empty(1 << p)
     for lo, hi in _blocks(1 << p):
-        out[lo:hi] = _residuals(gh, np.arange(lo, hi), target)
+        out[lo:hi] = _residuals(pairing.pairs, np.arange(lo, hi), target)
     return out
 
 
@@ -268,9 +270,7 @@ def anchor_threshold(pairing: ZeroPairing, x0: complex, tol: float) -> float:
     would reject every selection and so certify a false NoFeasibleSolution,
     and an infinite one would accept every selection.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"anchor tol must be finite and nonnegative, got {tol}")
-    return tol * abs(complex(pairing.scale)) / _anchor_power(x0)
+    return checked_tol(tol, "anchor tol") * abs(complex(pairing.scale)) / _anchor_power(x0)
 
 
 def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray:
@@ -304,8 +304,7 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray
     p = _check_budget(pairing)
     target = complex(pairing.scale) / _anchor_power(x0)
     thr = anchor_threshold(pairing, x0, tol)
-    gh = _root_array(pairing)
-    lg = np.log(np.abs(gh))
+    lg = np.log(np.abs(pairing.pairs))
     a = sum(map(abs, lg.ravel().tolist()))
     t_mod = abs(target)
     if a <= 700.0 and 1e-300 <= t_mod <= 1e300:
@@ -324,7 +323,7 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray
         if not codes.size:
             return codes
         codes += base
-        return codes[_residuals(gh, codes, target) <= thr]
+        return codes[_residuals(pairing.pairs, codes, target) <= thr]
 
     if p == b:
         return survivors(low, 0)

@@ -44,6 +44,7 @@ from .errors import (
 from .generate import generic_instance, planted_retrieval
 from .hardness import PPAnswer, PPInstance, decide_pp
 from .signal_core import (
+    DEFAULT_TOL,
     ComplexSignal,
     autocorrelation,
     spectrum_from_autocorr,
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("autocorr", help="autocorrelation of a signal")
     p.add_argument("input", help="JSON file with kind 'signal', or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-9, help="imaginary residue tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="imaginary residue tolerance")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_autocorr)
 
@@ -415,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run one solver")
     p.add_argument("input", help="JSON file with kind 'signal' or anchored 'pairing'")
     p.add_argument("--solver", default="er", help="er, hio, wf or oracle")
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss-tol", type=float, default=1e-12)
-    p.add_argument("--step-size", type=float, default=1e-3)
-    p.add_argument("--beta", type=float, default=0.9)
+    p.add_argument("--iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
+    p.add_argument("--loss-tol", type=float, default=SolverConfig.loss_tol)
+    p.add_argument("--step-size", type=float, default=SolverConfig.step_size)
+    p.add_argument("--beta", type=float, default=SolverConfig.beta_hio)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 

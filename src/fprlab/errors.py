@@ -72,7 +72,9 @@ class BudgetExceeded(FprlabError):
 
 
 class OverflowBeyondPrecision(FprlabError):
-    """Constructed instance would not survive float conversion exactly."""
+    """A number leaves what double precision holds: a constructed instance
+    would not survive float conversion exactly, or a product of paired
+    roots overflows or underflows double range."""
 
 
 class InvalidWitness(FprlabError):

@@ -39,7 +39,7 @@ def generic_instance(n: int, rng: np.random.Generator, max_tries: int = 200) -> 
             pairing = factor(autocorrelation(x))
         except FprlabError:
             continue
-        roots = [g for pair in pairing.pairs for g in pair]
+        roots = pairing.pairs.ravel().tolist()
         if any(abs(abs(g) - 1.0) < 1e-3 for g in roots):
             continue
         if any(

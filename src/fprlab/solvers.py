@@ -35,6 +35,7 @@ from .signal_core import (
     SpectrumSamples,
     autocorrelation,
     check_uniform_grid,
+    checked_tol,
     fourier_intensity,
     frozen,
     spectrum_from_autocorr,
@@ -104,6 +105,8 @@ class SolverConfig:
 
     step_size applies to the r(0)-normalized problem the iterative
     schemes actually run on; loss_tol is compared in original units.
+    step_size must be finite and positive and loss_tol finite and
+    nonnegative: a NaN loss_tol would never let a run converge.
     """
 
     max_iters: int = 500
@@ -117,10 +120,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.beta_hio < 1.0:
             raise ValueError("beta_hio must lie in (0, 1)")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.loss_tol < 0:
-            raise ValueError("loss_tol must be nonnegative")
+        checked_tol(self.step_size, "step_size", positive=True)
+        checked_tol(self.loss_tol, "loss_tol")
 
 
 @dataclass(frozen=True, eq=False)

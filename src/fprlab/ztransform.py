@@ -10,6 +10,7 @@ roots-and-pairing stage of the pipeline: autocorrelation in, ZeroPairing out.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import (
     UnpairableRoots,
     ZeroArgument,
 )
-from .signal_core import Autocorrelation, ComplexSignal, frozen
+from .signal_core import Autocorrelation, ComplexSignal, checked_tol, frozen
 
 TAU_ROOT = 1e-9
 NEWTON_STEPS = 5
@@ -69,31 +70,39 @@ class PolyCoeffs:
 class ZeroPairing:
     """Roots grouped into (gamma, gamma_recip) partners plus the scale r(N-1).
 
-    Flagged pairs sit on the unit circle, where a root is its own
-    conjugate reciprocal and must occur with even multiplicity; such
-    pairs are stored self-paired with gamma_recip == gamma.
+    pairs is a read-only (p, 2) complex128 array whose row k holds pair
+    k's (gamma, gamma_recip); it is built from any nested sequence of
+    pairs, and every root and the scale must be finite. Flagged pairs sit
+    on the unit circle, where a root is its own conjugate reciprocal and
+    must occur with even multiplicity; such pairs are stored self-paired
+    with gamma_recip == gamma.
     """
 
     scale: complex
-    pairs: tuple
+    pairs: np.ndarray
     unit_circle_flags: tuple
 
     def __post_init__(self):
         scale = complex(self.scale)
+        if not cmath.isfinite(scale):
+            raise ValueError(f"pairing scale must be finite, got {scale}")
         if scale == 0:
             raise DegenerateLeadingLag("pairing scale r(N-1) must be nonzero")
-        pairs = tuple((complex(g), complex(h)) for g, h in self.pairs)
         flags = tuple(bool(f) for f in self.unit_circle_flags)
-        if len(pairs) != len(flags):
-            raise ValueError("one flag per pair required")
-        for (g, h), f in zip(pairs, flags):
+        pairs = np.array(self.pairs, dtype=np.complex128)
+        if not pairs.size:
+            pairs.shape = (0, 2)
+        pairs = frozen(pairs, "paired roots", 2)
+        if pairs.shape != (len(flags), 2):
+            raise ValueError("one (gamma, gamma_recip) pair per flag required")
+        for (g, h), f in zip(pairs.tolist(), flags):
             if g == 0 or h == 0:
                 raise ValueError("paired roots must be nonzero")
             tau = pair_tolerance(g)
             if f:
                 if h != g or not _near_unit_circle(g):
                     raise ValueError("flagged pair must be a self-paired unit-circle root")
-            elif abs(g * np.conj(h) - 1.0) > tau:
+            elif abs(g * h.conjugate() - 1.0) > tau:
                 raise ValueError(f"pair ({g}, {h}) is not conjugate-reciprocal within tolerance")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "pairs", pairs)
@@ -120,10 +129,8 @@ class RootSelection:
         object.__setattr__(self, "alpha", float(self.alpha))
 
     def betas(self) -> np.ndarray:
-        return np.array(
-            [g if c else h for (g, h), c in zip(self.pairing.pairs, self.choices)],
-            dtype=np.complex128,
-        )
+        pairs = self.pairing.pairs
+        return np.where(self.choices, pairs[:, 0], pairs[:, 1])
 
 
 def eval_ztransform(x: ComplexSignal, z: complex) -> complex:
@@ -152,23 +159,30 @@ def find_roots(p: PolyCoeffs, tau_root: float = TAU_ROOT) -> np.ndarray:
     up to five Newton polish steps, each kept only when it lowers the
     residual. Every returned root must satisfy
     |p(root)| <= tau_root * max|c| * max(1, |root|)^D, compared as D-th
-    roots so that the bound cannot overflow for large roots.
+    roots so that the bound cannot overflow for large roots. Each step
+    keeps the polynomial value of every root it keeps, so the residual
+    costs no further evaluation. ValueError unless tau_root is finite and
+    positive: a NaN or negative tau_root turns the gate off, and the bound
+    divides by it.
     """
+    checked_tol(tau_root, "tau_root", positive=True)
     d = p.degree
     if d == 0:
         return np.empty(0, np.complex128)
     desc = p.coeffs[::-1]
     roots = np.roots(desc)
     dp = np.polyder(desc)
+    pv = np.polyval(desc, roots)
     for _ in range(NEWTON_STEPS):
-        pv = np.polyval(desc, roots)
         dv = np.polyval(dp, roots)
         ok = np.abs(dv) > 0
         step = np.where(ok, pv / np.where(ok, dv, 1.0), 0.0)
         cand = roots - step
-        better = np.abs(np.polyval(desc, cand)) < np.abs(pv)
+        cv = np.polyval(desc, cand)
+        better = np.abs(cv) < np.abs(pv)
         roots = np.where(better, cand, roots)
-    resid = np.abs(np.polyval(desc, roots))
+        pv = np.where(better, cv, pv)
+    resid = np.abs(pv)
     rel = resid / (tau_root * np.max(np.abs(p.coeffs)))
     if np.any(rel ** (1.0 / d) > np.maximum(1.0, np.abs(roots))):
         raise NonConvergence(
@@ -249,7 +263,7 @@ def spectrum_from_pairing(pairing: ZeroPairing, omegas) -> np.ndarray:
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
     z = np.exp(1j * om)
     acc = np.full(om.shape, np.conj(complex(pairing.scale)), dtype=np.complex128)
-    for g, h in pairing.pairs:
+    for g, h in pairing.pairs.tolist():
         acc = acc * (z - g) * (z - h)
     acc = acc * z ** (-pairing.n_pairs)
     scale_mag = max(1.0, float(np.max(np.abs(acc), initial=1.0)))
@@ -267,8 +281,7 @@ def autocorr_from_pairing(pairing: ZeroPairing) -> Autocorrelation:
 
     The expansion is conjugate-symmetrized, which forces r(0) exactly real.
     """
-    allroots = np.array([b for pair in pairing.pairs for b in pair], dtype=np.complex128)
-    asc = (np.conj(complex(pairing.scale)) * np.atleast_1d(np.poly(allroots)))[::-1]
+    asc = (np.conj(complex(pairing.scale)) * np.atleast_1d(np.poly(pairing.pairs.ravel())))[::-1]
     n = pairing.n_pairs + 1
     down = asc[n - 1 :: -1]          # c(N-1-n) for n = 0..N-1
     up = np.conj(asc[n - 1 :])       # conj(c(N-1+n))

@@ -24,6 +24,7 @@ from fprlab.ambiguity import (
 from fprlab.errors import (
     EnumerationBudgetExceeded,
     NoFeasibleSolution,
+    OverflowBeyondPrecision,
     ZeroAnchor,
     ZeroSignal,
 )
@@ -392,11 +393,13 @@ def test_survivor_search_matches_full_scan_at_its_boundaries():
         wide = ZeroPairing(complex(np.prod(-picked)), tuple(zip(gammas, 1 / np.conj(gammas))), (False,) * 8)
         assert planted[0] in _scan_codes(wide, 1.0, 0.0)
     # roots 1e200 and 1e-200 take partial products out of double range: code
-    # 0b1100 has the root product 1, but np.prod underflows it to 0, which
-    # is within a threshold of 2|T| of T = 1e-3
-    far = ZeroPairing(1e-3, ((1e200, 1e-200),) * 4, (False,) * 4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert 0b1100 in _scan_codes(far, 1.0, 2.0)
+    # 0b1100 has the root product 1, but np.prod would underflow it to 0, so
+    # the search and the full scan both refuse the pairing
+    far = ZeroPairing(1.0, ((1e200, 1e-200),) * 4, (False,) * 4)
+    with pytest.raises(OverflowBeyondPrecision):
+        ambiguity._survivor_codes(far, 1.0, ANCHOR_REL_TOL)
+    with pytest.raises(OverflowBeyondPrecision):
+        anchor_residuals(far, 1.0)
 
 
 def _real_polynomial_pairings():

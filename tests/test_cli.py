@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,26 @@ def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, command, doc
     code, out, err = run(capsys, [command, write(tmp_path, "doc.json", doc), "--tol", tol])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {name} must be finite and nonnegative, got ")
+
+
+@pytest.mark.parametrize("option, name, rule", [("--loss-tol", "loss_tol", "nonnegative"), ("--step-size", "step_size", "positive")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_solve_bounds_must_be_finite(tmp_path, capsys, option, name, rule, value):
+    code, out, err = run(capsys, ["solve", write(tmp_path, "sig.json", SIGNAL_3), option, value])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be finite and {rule}, got ")
+
+
+def test_enumerate_refuses_root_products_out_of_double_range(tmp_path, capsys):
+    """Roots 1e200 and 1e-200 put partial products out of double range; the
+    anchored search stops with a typed error instead of numpy warnings and a
+    misjudged survivor."""
+    far = {"kind": "pairing", "scale": [1, 0], "anchor": [1, 0], "pairs": [[[1e200, 0], [1e-200, 0]]] * 4}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["enumerate", write(tmp_path, "far.json", far)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: a root product leaves double range")
 
 
 def test_solve_oracle_on_signal(tmp_path, capsys):

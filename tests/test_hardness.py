@@ -131,7 +131,7 @@ def test_decide_first_round_is_the_hard_instance(u):
     seen = []
     decide_pp(pp, _recording_solver(seen, [1.0]))
     got, want = seen[0], construct_hard_instance(pp).pr
-    assert got.pairing.pairs == want.pairing.pairs
+    assert np.array_equal(got.pairing.pairs, want.pairing.pairs)
     assert got.pairing.unit_circle_flags == want.pairing.unit_circle_flags
     assert got.pairing.scale == want.pairing.scale
     assert got.anchor == want.anchor
@@ -149,7 +149,7 @@ def test_decide_removal_round_keeps_the_admission_anchor(u, kept):
     decide_pp(PPInstance(u), _recording_solver(seen, np.poly([-u[0], -1.0 / u[0]])))
     assert len(seen) == 2
     second = seen[1]
-    assert second.pairing.pairs == ((-float(kept), -1.0 / kept),) * 2
+    assert np.array_equal(second.pairing.pairs, ((-float(kept), -1.0 / kept),) * 2)
     assert second.anchor == 9.0
     assert second.pairing.scale == 81.0 * 5
 

@@ -70,6 +70,24 @@ def test_solver_config_validation():
         SolverConfig(loss_tol=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, bad, rule",
+    [
+        ("loss_tol", np.nan, "finite and nonnegative"),
+        ("loss_tol", np.inf, "finite and nonnegative"),
+        ("loss_tol", -1e-300, "finite and nonnegative"),
+        ("step_size", np.nan, "finite and positive"),
+        ("step_size", np.inf, "finite and positive"),
+        ("step_size", -1.0, "finite and positive"),
+    ],
+)
+def test_solver_config_bounds_must_be_finite(field, bad, rule):
+    """A NaN loss_tol never lets a run converge; a NaN or infinite step
+    size turns every Wirtinger flow step into NaN."""
+    with pytest.raises(ValueError, match=f"{field} must be {rule}, got "):
+        SolverConfig(**{field: bad})
+
+
 def test_iterate_trace_validation():
     x = ComplexSignal(np.array([1.0]))
     with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ def test_factor_is_roots_then_pairing():
         got = factor(r)
         assert got.scale == want.scale == r.entries[-1]
         assert got.n_pairs == len(entries) - 1
-        assert got.pairs == want.pairs
+        assert np.array_equal(got.pairs, want.pairs)
         assert got.unit_circle_flags == want.unit_circle_flags
 
 
@@ -235,6 +235,74 @@ def test_zero_pairing_validation():
         ZeroPairing(1.0, ((2.0, 0.5),), (True,))
     with pytest.raises(ValueError):
         ZeroPairing(1.0, ((2.0, 0.5),), (False, False))
+
+
+@pytest.mark.parametrize(
+    "scale, pairs",
+    [
+        (6.0, ((-3.0, -1.0 / 3.0), (np.nan, np.nan))),
+        (6.0, ((-3.0, -1.0 / 3.0), (np.inf, 0.0))),
+        (1.0, ((complex(2.0, np.nan), 0.5),)),
+        (np.nan, ((2.0, 0.5),)),
+        (complex(1.0, np.inf), ((2.0, 0.5),)),
+    ],
+)
+def test_zero_pairing_rejects_non_finite_values(scale, pairs):
+    with pytest.raises(ValueError, match="finite"):
+        ZeroPairing(scale, pairs, (False,) * len(pairs))
+
+
+def test_zero_pairing_holds_one_frozen_root_array():
+    """Row k of pairs is pair k's (gamma, gamma_recip), read-only for every
+    holder, from any nested sequence of pairs; the empty pairing is (0, 2)."""
+    nested = [[-2.0, -0.5], np.array([-3.0, -1.0 / 3.0])]
+    pairing = ZeroPairing(6.0, nested, [False, False])
+    assert pairing.pairs.dtype == np.complex128 and pairing.pairs.shape == (2, 2)
+    assert pairing.pairs.tolist() == [[-2.0, -0.5], [-3.0, -1.0 / 3.0]]
+    assert pairing.unit_circle_flags == (False, False)
+    source = np.array([[2.0, 0.5]], dtype=np.complex128)
+    held = ZeroPairing(1.0, source, (False,)).pairs
+    assert not np.shares_memory(held, source)
+    for arr in (pairing.pairs, held, pairing.pairs[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    assert ZeroPairing(5.0, (), ()).pairs.shape == (0, 2)
+    for bad in ([2.0, 0.5], [[2.0, 0.5, 1.0]], [[[2.0, 0.5]]]):
+        with pytest.raises(ValueError):
+            ZeroPairing(1.0, bad, (False,))
+    betas = RootSelection(pairing, (True, False)).betas()
+    assert betas.dtype == np.complex128 and betas.tolist() == [-2.0, -1.0 / 3.0]
+
+
+@pytest.mark.parametrize("tau_root", [np.nan, np.inf, -1.0, 0.0])
+def test_find_roots_tau_root_must_be_finite_and_positive(tau_root):
+    """z^2 + 1 has the roots +-i; a NaN or negative tau_root used to return
+    them with the residual gate off."""
+    with pytest.raises(ValueError, match="tau_root must be finite and positive"):
+        find_roots(PolyCoeffs(np.array([1.0, 0.0, 1.0])), tau_root=tau_root)
+
+
+def test_find_roots_polish_evaluates_each_value_once(monkeypatch):
+    """The polish keeps each accepted candidate's value, so the residual
+    gate reads it instead of evaluating the polynomial again: 1 + 2 per
+    Newton step, and the roots are those of the per-step reference."""
+    rng = np.random.default_rng(5)
+    poly = PolyCoeffs(rng.standard_normal(13) + 1j * rng.standard_normal(13))
+    desc = poly.coeffs[::-1]
+    roots = np.roots(desc)
+    for _ in range(ztransform.NEWTON_STEPS):
+        pv, dv = np.polyval(desc, roots), np.polyval(np.polyder(desc), roots)
+        cand = roots - np.where(np.abs(dv) > 0, pv / np.where(np.abs(dv) > 0, dv, 1.0), 0.0)
+        roots = np.where(np.abs(np.polyval(desc, cand)) < np.abs(pv), cand, roots)
+    want = roots[np.lexsort((roots.imag, roots.real))]
+    calls = []
+    polyval = np.polyval
+    monkeypatch.setattr(np, "polyval", lambda c, x: calls.append(1) or polyval(c, x))
+    got = find_roots(poly)
+    assert len(calls) == 1 + 2 * ztransform.NEWTON_STEPS
+    assert got.tobytes() == want.tobytes()
 
 
 @given(signals_with_clean_roots())
