@@ -28,6 +28,7 @@ ENUM_BUDGET_PAIRS = 24
 ENUM_BUDGET_BYTES = 1 << 30
 ANCHOR_REL_TOL = 1e-6
 CANON_DECIMALS = 9
+CANON_REL_TOL = 1e-6
 RESIDUAL_BLOCK_BITS = 12
 
 
@@ -78,22 +79,21 @@ class _Solutions(Sequence):
         if isinstance(i, range):
             return tuple(self[j] for j in i)
         sols = self._sols
-        code = int(sols.codes[i])
-        choice = tuple(bool(code >> k & 1) for k in range(sols.pairing.n_pairs))
+        choice = tuple(_code_bits(sols.codes[i : i + 1], sols.pairing.n_pairs)[0].tolist())
         return choice, ComplexSignal.row_views(sols.rows[i : i + 1])[0]
 
 
-def _check_budget(pairing: ZeroPairing, bytes_per_selection: int = 0) -> int:
+def _check_budget(pairing: ZeroPairing, selections: int = 0) -> int:
     """The pair count p; EnumerationBudgetExceeded past ENUM_BUDGET_PAIRS
-    pairs, or when 2^p selections of bytes_per_selection each would pass
-    ENUM_BUDGET_BYTES."""
+    pairs, or when the codes and rows of that many selections, 16 N + 8
+    bytes each, would pass ENUM_BUDGET_BYTES."""
     p = pairing.n_pairs
     if p > ENUM_BUDGET_PAIRS:
         raise EnumerationBudgetExceeded(f"{p} pairs exceed the {ENUM_BUDGET_PAIRS}-pair budget")
-    need = (1 << p) * bytes_per_selection
+    need = selections * (16 * (p + 1) + 8)
     if need > ENUM_BUDGET_BYTES:
         raise EnumerationBudgetExceeded(
-            f"{1 << p} selections need {need} bytes, over the {ENUM_BUDGET_BYTES}-byte budget"
+            f"{selections} selections need {need} bytes, over the {ENUM_BUDGET_BYTES}-byte budget"
         )
     return p
 
@@ -187,7 +187,7 @@ def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
     24 pairs, or before allocating anything when the codes and rows, 16 N + 8
     bytes per selection, would pass ENUM_BUDGET_BYTES.
     """
-    p = _check_budget(pairing, 16 * (pairing.n_pairs + 1) + 8)
+    p = _check_budget(pairing, 1 << pairing.n_pairs)
     codes = np.arange(1 << p)
     return SolutionSet(pairing, codes, _expand(pairing, codes, 0.0, min(p, RESIDUAL_BLOCK_BITS)))
 
@@ -347,17 +347,19 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
     whose root-product modulus can match the anchor; the result is the
     same as thresholding anchor_residuals. Raises NoFeasibleSolution when
     nothing survives, which certifies the anchor is inconsistent with the
-    pairing.
+    pairing, and EnumerationBudgetExceeded, before expanding any, when the
+    survivors would pass the byte budget of enumerate_solutions.
     """
     survivors = _survivor_codes(pairing, x0, tol)
     if not survivors.size:
         raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
+    _check_budget(pairing, survivors.size)
     return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0)), 0))
 
 
-def filter_by_anchor(sols: SolutionSet, x0: complex, tol: float = ANCHOR_REL_TOL) -> SolutionSet:
+def filter_by_anchor(sols: SolutionSet, x0: complex) -> SolutionSet:
     """anchored_solutions of the set's pairing; its expanded signals are not reused."""
-    return anchored_solutions(sols.pairing, x0, tol)
+    return anchored_solutions(sols.pairing, x0)
 
 
 def trivial_orbit_distance(a: ComplexSignal, b: ComplexSignal, reflection: bool = True) -> float:
@@ -380,15 +382,16 @@ def trivial_orbit_distance(a: ComplexSignal, b: ComplexSignal, reflection: bool 
     return float(best)
 
 
-def distinct_canonical(signals, rel_tol: float = 1e-6) -> list:
-    """Greedy clustering of canonical forms; returns one representative per cluster."""
+def distinct_canonical(signals) -> list:
+    """Greedy clustering of canonical forms, within CANON_REL_TOL of a
+    representative's norm; returns one representative per cluster."""
     reps: list = []
     for sig in signals:
         can = canonicalize(sig)
         scale = float(np.linalg.norm(can.entries))
         hit = False
         for rep in reps:
-            if rep.n == can.n and np.linalg.norm(rep.entries - can.entries) <= rel_tol * max(scale, 1e-300):
+            if rep.n == can.n and np.linalg.norm(rep.entries - can.entries) <= CANON_REL_TOL * max(scale, 1e-300):
                 hit = True
                 break
         if not hit:

@@ -13,27 +13,33 @@ from .hardness import PPInstance, brute_force_pp, construct_hard_instance, enume
 from .signal_core import ComplexSignal, autocorrelation
 from .ztransform import factor
 
+MIN_EDGE = 0.1
+GENERIC_TRIES = 200
+PP_LO, PP_HI = 2, 6
+SOLVABLE_PP_TRIES = 5000
 
-def random_signal(n: int, rng: np.random.Generator, min_edge: float = 0.1) -> ComplexSignal:
-    """Complex Gaussian entries, resampled until both edge moduli clear min_edge."""
+
+def random_signal(n: int, rng: np.random.Generator) -> ComplexSignal:
+    """Complex Gaussian entries, resampled until both edge moduli clear MIN_EDGE."""
     if n < 1:
         raise ValueError("n must be >= 1")
     while True:
         e = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if abs(e[0]) >= min_edge and abs(e[-1]) >= min_edge:
+        if abs(e[0]) >= MIN_EDGE and abs(e[-1]) >= MIN_EDGE:
             return ComplexSignal(e, full_support=True)
 
 
-def generic_instance(n: int, rng: np.random.Generator, max_tries: int = 200) -> tuple:
+def generic_instance(n: int, rng: np.random.Generator) -> tuple:
     """Draw a signal whose zero pairing is numerically unambiguous.
 
     Rejects draws with near-unit-circle zeros, near-coincident zeros, or
     an anchor filter that is not decisively unique (second-best residual
-    within 10x of the accept threshold). Returns (signal, pairing).
+    within 10x of the accept threshold) for up to GENERIC_TRIES draws.
+    Returns (signal, pairing).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    for _ in range(max_tries):
+    for _ in range(GENERIC_TRIES):
         x = random_signal(n, rng)
         try:
             pairing = factor(autocorrelation(x))
@@ -53,28 +59,22 @@ def generic_instance(n: int, rng: np.random.Generator, max_tries: int = 200) -> 
         if residuals[0] > threshold * 0.1 or residuals[1] < 10.0 * threshold:
             continue
         return x, pairing
-    raise NoFeasibleSolution(f"no clean draw of length {n} in {max_tries} tries")
+    raise NoFeasibleSolution(f"no clean draw of length {n} in {GENERIC_TRIES} tries")
 
 
-def random_solvable_pp(
-    n: int,
-    rng: np.random.Generator,
-    lo: int = 2,
-    hi: int = 6,
-    unique_witness: bool = True,
-    max_tries: int = 5000,
-) -> PPInstance:
+def random_solvable_pp(n: int, rng: np.random.Generator, unique_witness: bool = True) -> PPInstance:
     """Random admissible instance that has a solution.
 
-    Draws u_1..u_{N-1} uniformly from [lo, hi], picks a random subset as
-    the planted side, and sets u_N to its product over the complement
-    when that quotient is an integer >= 2. unique_witness additionally
-    requires exactly one solution subset.
+    Draws u_1..u_{N-1} uniformly from [PP_LO, PP_HI], picks a random
+    subset as the planted side, and sets u_N to its product over the
+    complement when that quotient is an integer >= 2, in up to
+    SOLVABLE_PP_TRIES draws. unique_witness additionally requires exactly
+    one solution subset.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    for _ in range(max_tries):
-        rest = [int(rng.integers(lo, hi + 1)) for _ in range(n - 1)]
+    for _ in range(SOLVABLE_PP_TRIES):
+        rest = [int(rng.integers(PP_LO, PP_HI + 1)) for _ in range(n - 1)]
         if max(rest) < 3:
             continue
         mask = int(rng.integers(0, 1 << (n - 1)))
@@ -89,10 +89,10 @@ def random_solvable_pp(
         if unique_witness and len(enumerate_witnesses(inst)) != 1:
             continue
         return inst
-    raise NoFeasibleSolution(f"no solvable instance of size {n} in {max_tries} tries")
+    raise NoFeasibleSolution(f"no solvable instance of size {n} in {SOLVABLE_PP_TRIES} tries")
 
 
-def all_pp_instances(n: int, lo: int = 2, hi: int = 6):
+def all_pp_instances(n: int, lo: int = PP_LO, hi: int = PP_HI):
     """Every admissible instance with values in [lo, hi], lexicographic order."""
     for u in itertools.product(range(lo, hi + 1), repeat=n):
         if max(u[:-1]) >= 3:

@@ -93,10 +93,11 @@ class PPDecision:
 
 @dataclass(frozen=True, eq=False)
 class HardInstance:
-    """Constructed retrieval instance plus exact integer bookkeeping."""
+    """Constructed float retrieval instance plus its exact integers:
+    anchor_exact = u_max^(N-1) and scale_exact = anchor_exact^2 * u_N."""
 
     pp: PPInstance
-    pr: PRInstance | None
+    pr: PRInstance
     anchor_exact: int
     scale_exact: int
 
@@ -190,16 +191,16 @@ def _embedding(values, u_last: int, u_max: int) -> PRInstance:
     return PRInstance.from_pairing(pairing, anchor)
 
 
-def construct_hard_instance(pp: PPInstance, want_float: bool = True) -> HardInstance:
+def construct_hard_instance(pp: PPInstance) -> HardInstance:
     """Embed a product-partition instance as a retrieval instance.
 
     anchor = u_max^(N-1) and top lag |anchor|^2 * u_N, zero pairs
-    (-u_k, -1/u_k) for k = 1..N-1. The exact integers are always
-    recorded; the float instance is built by _embedding only when
-    want_float, and refused past u_max^(2N) > 2^52.
+    (-u_k, -1/u_k) for k = 1..N-1, built by _embedding and so refused
+    with OverflowBeyondPrecision past u_max^(2N) > 2^52. The exact
+    integers are recorded next to the float instance.
     """
     anchor_exact = pp.u_max ** (pp.n - 1)
-    pr = _embedding(pp.u[:-1], pp.u[-1], pp.u_max) if want_float else None
+    pr = _embedding(pp.u[:-1], pp.u[-1], pp.u_max)
     return HardInstance(pp, pr, anchor_exact, anchor_exact * anchor_exact * pp.u[-1])
 
 

@@ -20,9 +20,8 @@ Signals built in bulk (ComplexSignal.from_rows, or read from an
 ambiguity.SolutionSet) are such row views of one frozen block, so a
 single kept signal keeps its whole block alive.
 
-Every tolerance, step size and root gate a caller sets passes
-``checked_tol``: a NaN or infinite bound would turn off the comparison
-it feeds.
+Every tolerance and step size a caller sets passes ``checked_tol``: a
+NaN or infinite bound would turn off the comparison it feeds.
 """
 
 from __future__ import annotations
@@ -233,22 +232,17 @@ def spectrum_from_autocorr(r: Autocorrelation, omegas, tol: float = DEFAULT_TOL)
     return SpectrumSamples(om, vals.real)
 
 
-def check_uniform_grid(s: SpectrumSamples, n: int, tol: float = DEFAULT_TOL) -> None:
+def check_uniform_grid(s: SpectrumSamples, n: int) -> None:
     """Raise InsufficientSamples unless m >= 2n-1, and NonUniformGrid
-    unless the sample angles are 2*pi*j/m within tol.
-
-    ValueError unless tol is finite and nonnegative: a NaN tol makes the
-    comparison false, and an infinite one true, so either accepts any grid.
-    """
-    checked_tol(tol, "grid tol")
+    unless the sample angles are 2*pi*j/m within DEFAULT_TOL."""
     m = s.m
     if m < 2 * n - 1:
         raise InsufficientSamples(f"m={m} samples cannot determine {n} lags (need {2 * n - 1})")
-    if np.max(np.abs(s.omegas - uniform_grid(m))) > tol:
+    if np.max(np.abs(s.omegas - uniform_grid(m))) > DEFAULT_TOL:
         raise NonUniformGrid("sample angles must be 2*pi*j/m")
 
 
-def autocorr_from_spectrum(s: SpectrumSamples, n: int, tol: float = DEFAULT_TOL) -> Autocorrelation:
+def autocorr_from_spectrum(s: SpectrumSamples, n: int) -> Autocorrelation:
     """Invert uniform samples of R back to lags r(0..n-1).
 
     Needs m >= 2n-1 samples on the uniform grid 2*pi*j/m; then the lags
@@ -259,13 +253,11 @@ def autocorr_from_spectrum(s: SpectrumSamples, n: int, tol: float = DEFAULT_TOL)
     InsufficientSamples
         If m < 2n-1.
     NonUniformGrid
-        If the sample angles are not 2*pi*j/m within tol.
-    ValueError
-        If tol is negative, NaN or infinite.
+        If the sample angles are not 2*pi*j/m within DEFAULT_TOL.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    check_uniform_grid(s, n, tol)
+    check_uniform_grid(s, n)
     phases = np.exp(1j * np.outer(np.arange(n), s.omegas))
     r = (phases @ s.values.astype(np.complex128)) / s.m
     return Autocorrelation(r)

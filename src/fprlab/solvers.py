@@ -23,6 +23,7 @@ max_iters + 1 passes, that is max_iters updates, whichever comes first.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -52,35 +53,33 @@ def grid_size(n: int, grid_mult: int = 4) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PRInstance:
-    """One retrieval problem: pairing, anchor x(0) != 0, intensity samples."""
+    """One retrieval problem: pairing, finite anchor x(0) != 0, intensity samples."""
 
     pairing: ZeroPairing
     anchor: complex
     grid: SpectrumSamples
-    normalization: float
 
     def __post_init__(self):
         anchor = complex(self.anchor)
-        if anchor == 0:
-            raise ValueError("anchor x(0) must be nonzero")
-        if self.normalization <= 0:
-            raise ValueError("normalization must be positive")
+        if anchor == 0 or not cmath.isfinite(anchor):
+            raise ValueError(f"anchor x(0) must be finite and nonzero, got {anchor}")
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "normalization", float(self.normalization))
 
     @property
     def n(self) -> int:
         return self.pairing.n_pairs + 1
 
+    @property
+    def normalization(self) -> float:
+        """sqrt of the mean sample, floored at the smallest normal double:
+        sqrt(r(0)) on a uniform grid of at least 2N-1 points."""
+        return math.sqrt(max(float(np.mean(self.grid.values)), np.finfo(float).tiny))
+
     @classmethod
     def _sampled(cls, pairing: ZeroPairing, anchor: complex, n: int, grid_mult: int, intensity) -> "PRInstance":
-        """Sample intensity(omegas) on the uniform grid of grid_size(n,
-        grid_mult) points; the normalization sqrt(mean of the samples) is
-        sqrt(r(0)) on such a grid."""
+        """Sample intensity(omegas) on the uniform grid of grid_size(n, grid_mult) points."""
         om = uniform_grid(grid_size(n, grid_mult))
-        vals = intensity(om)
-        norm = math.sqrt(max(float(np.mean(vals)), np.finfo(float).tiny))
-        return cls(pairing, anchor, SpectrumSamples(om, vals), norm)
+        return cls(pairing, anchor, SpectrumSamples(om, intensity(om)))
 
     @classmethod
     def from_pairing(cls, pairing: ZeroPairing, anchor: complex, grid_mult: int = 4) -> "PRInstance":
@@ -178,25 +177,26 @@ def _normalized_setup(inst: PRInstance, cfg: SolverConfig, start):
     check_uniform_grid(inst.grid, inst.n)
     n = inst.n
     m = inst.grid.m
-    r0 = inst.normalization ** 2
+    norm = inst.normalization
+    r0 = norm ** 2
     target = np.sqrt(np.maximum(inst.grid.values, 0.0) / r0)
-    anchor_n = inst.anchor / inst.normalization
+    anchor_n = inst.anchor / norm
     if start is None:
         rng = np.random.default_rng(cfg.seed)
         z0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     else:
         if start.n != n:
             raise ValueError("start length must match instance size")
-        z0 = start.entries / inst.normalization
+        z0 = start.entries / norm
     field = np.zeros(m, dtype=np.complex128)
     field[:n] = z0
     field[0] = anchor_n
-    return field, target, anchor_n, r0
+    return norm, (field, target, anchor_n, r0)
 
 
-def _emit(inst: PRInstance, rows: list) -> list:
+def _emit(inst: PRInstance, norm: float, rows: list) -> list:
     """One run's normalized iterates in original units, anchor imposed."""
-    out = inst.normalization * np.array(rows)
+    out = norm * np.array(rows)
     out[:, 0] = inst.anchor
     return ComplexSignal.from_rows(out)
 
@@ -210,14 +210,14 @@ def _drive(passes, inst: PRInstance, cfg: SolverConfig | None, start) -> Iterate
     computed.
     """
     cfg = cfg or SolverConfig()
-    setup = _normalized_setup(inst, cfg, start)
+    norm, setup = _normalized_setup(inst, cfg, start)
     rows, losses = [], []
     for row, loss in islice(passes(inst.n, cfg, *setup), cfg.max_iters + 1):
         rows.append(row)
         losses.append(loss)
         if loss <= cfg.loss_tol:
             break
-    return IterateTrace(_emit(inst, rows), np.array(losses), losses[-1] <= cfg.loss_tol)
+    return IterateTrace(_emit(inst, norm, rows), np.array(losses), losses[-1] <= cfg.loss_tol)
 
 
 def _mag_project(field_hat: np.ndarray, target: np.ndarray) -> np.ndarray:

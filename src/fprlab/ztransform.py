@@ -22,7 +22,7 @@ from .errors import (
     UnpairableRoots,
     ZeroArgument,
 )
-from .signal_core import Autocorrelation, ComplexSignal, checked_tol, frozen
+from .signal_core import Autocorrelation, ComplexSignal, frozen
 
 TAU_ROOT = 1e-9
 NEWTON_STEPS = 5
@@ -151,21 +151,18 @@ def build_S_poly(r: Autocorrelation) -> PolyCoeffs:
     return PolyCoeffs(asc)
 
 
-def find_roots(p: PolyCoeffs, tau_root: float = TAU_ROOT) -> np.ndarray:
+def find_roots(p: PolyCoeffs) -> np.ndarray:
     """All complex roots with multiplicity (none for a nonzero constant),
     lexicographically sorted by (re, im).
 
     Companion-matrix eigenvalues (LAPACK balances the matrix) followed by
     up to five Newton polish steps, each kept only when it lowers the
     residual. Every returned root must satisfy
-    |p(root)| <= tau_root * max|c| * max(1, |root|)^D, compared as D-th
+    |p(root)| <= TAU_ROOT * max|c| * max(1, |root|)^D, compared as D-th
     roots so that the bound cannot overflow for large roots. Each step
     keeps the polynomial value of every root it keeps, so the residual
-    costs no further evaluation. ValueError unless tau_root is finite and
-    positive: a NaN or negative tau_root turns the gate off, and the bound
-    divides by it.
+    costs no further evaluation.
     """
-    checked_tol(tau_root, "tau_root", positive=True)
     d = p.degree
     if d == 0:
         return np.empty(0, np.complex128)
@@ -183,7 +180,7 @@ def find_roots(p: PolyCoeffs, tau_root: float = TAU_ROOT) -> np.ndarray:
         roots = np.where(better, cand, roots)
         pv = np.where(better, cv, pv)
     resid = np.abs(pv)
-    rel = resid / (tau_root * np.max(np.abs(p.coeffs)))
+    rel = resid / (TAU_ROOT * np.max(np.abs(p.coeffs)))
     if np.any(rel ** (1.0 / d) > np.maximum(1.0, np.abs(roots))):
         raise NonConvergence(
             f"residual {float(resid.max()):.3e} exceeds bound after polish; coeffs={p.coeffs!r}"

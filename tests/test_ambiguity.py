@@ -564,14 +564,31 @@ def test_solution_set_checks_its_block():
 def test_enumeration_byte_budget():
     """2^p selections of 16 N + 8 bytes (a row and a code) are checked
     before anything is allocated. 24 pairs would need 6.8 GB, so only the
-    check runs here; the anchored scan keeps only the pair budget."""
+    check runs here; the anchored search applies the same rule to its
+    survivors."""
     us = 2.0 + 0.1 * np.arange(24)
     pairing = ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us), (False,) * 24)
     need = (1 << 24) * (16 * 25 + 8)
     assert ambiguity.ENUM_BUDGET_BYTES < need
     with pytest.raises(EnumerationBudgetExceeded, match=f"{1 << 24} selections need {need} bytes"):
-        ambiguity._check_budget(pairing, 16 * 25 + 8)
+        ambiguity._check_budget(pairing, 1 << 24)
     assert ambiguity._check_budget(pairing) == 24
+
+
+def test_anchored_survivors_byte_budget(monkeypatch):
+    """A tol large enough to keep every code must not expand them all past
+    the byte budget: with room for 1000 selections, 10 pairs fail, as the
+    full enumeration does, while the default tol keeps the planted one."""
+    us = 2.0 + 0.1 * np.arange(10)
+    planted = 0b0110100101
+    betas = np.where([planted >> k & 1 for k in range(10)], -us, -1.0 / us)
+    pairing = ZeroPairing(float(np.prod(-betas)), tuple((-u, -1.0 / u) for u in us), (False,) * 10)
+    monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 1000 * (16 * 11 + 8))
+    with pytest.raises(EnumerationBudgetExceeded):
+        enumerate_solutions(pairing)
+    with pytest.raises(EnumerationBudgetExceeded, match="1024 selections"):
+        anchored_solutions(pairing, 1.0, tol=1e12)
+    assert anchored_solutions(pairing, 1.0).codes.tolist() == [planted]
 
 
 def test_enumeration_bytes_per_selection():

@@ -120,7 +120,7 @@ def test_enumerate_signal(tmp_path, capsys):
 
 
 def test_enumerate_byte_budget_exits_2(tmp_path, monkeypatch, capsys):
-    # 5 pairs: 32 selections of 16 * 6 + 8 bytes; the anchored path checks only the pair count
+    # 5 pairs: 32 selections of 16 * 6 + 8 bytes; the anchored path counts only its survivors
     entries = [[1, 0], [2, 1], [0.5, -1], [3, 0.2], [-1, 1], [2, 0]]
     signal = write(tmp_path, "sig6.json", {"kind": "signal", "entries": entries})
     monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 32 * 104)
@@ -132,7 +132,8 @@ def test_enumerate_byte_budget_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: 32 selections need 3328 bytes, over the 3327-byte budget\n"
-    monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 0)
+    # room for one selection of 16 * 3 + 8 bytes, not for all four
+    monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 56)
     assert run(capsys, ["enumerate", write(tmp_path, "pairing.json", PAIRING_3)])[0] == 0
 
 

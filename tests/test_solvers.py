@@ -54,9 +54,16 @@ def test_instance_validation():
     pairing = pairing_of_signal(x)
     grid = fourier_intensity(x, uniform_grid(12))
     with pytest.raises(ValueError):
-        PRInstance(pairing, 0.0, grid, 1.0)
-    with pytest.raises(ValueError):
-        PRInstance(pairing, 1.0, grid, -2.0)
+        PRInstance(pairing, 0.0, grid)
+
+
+def test_instance_refuses_non_finite_anchor():
+    """An infinite or NaN anchor used to give an instance that only
+    ZeroAnchor refused later, inside the anchored search."""
+    pairing = pairing_of_signal(random_full_support(3, 2))
+    for bad in (np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)):
+        with pytest.raises(ValueError, match="anchor x\\(0\\) must be finite and nonzero"):
+            PRInstance.from_pairing(pairing, bad)
 
 
 def test_solver_config_validation():
@@ -187,10 +194,10 @@ def test_iterative_solvers_reject_grids_their_fft_does_not_sample(solver):
     x = random_full_support(4, 5)
     good = PRInstance.from_signal(x)
     om = good.grid.omegas + np.linspace(0.0, 0.3, good.grid.m)
-    shifted = PRInstance(good.pairing, good.anchor, fourier_intensity(x, om), good.normalization)
+    shifted = PRInstance(good.pairing, good.anchor, fourier_intensity(x, om))
     with pytest.raises(NonUniformGrid):
         solver(shifted, SolverConfig(max_iters=5))
-    short = PRInstance(good.pairing, good.anchor, fourier_intensity(x, uniform_grid(3)), good.normalization)
+    short = PRInstance(good.pairing, good.anchor, fourier_intensity(x, uniform_grid(3)))
     with pytest.raises(InsufficientSamples):
         solver(short, SolverConfig(max_iters=5))
 

@@ -146,12 +146,14 @@ def test_find_roots_quadratic_formula_oracle():
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
 
 
-def test_find_roots_residual_gate():
+def test_find_roots_residual_gate(monkeypatch):
     # an impossible tolerance must trip the convergence check
     x = ComplexSignal(np.array([1.0, 1.0, 1.0]))
     s = build_S_poly(autocorrelation(x))
-    with pytest.raises(NonConvergence):
-        find_roots(s, tau_root=1e-18)
+    with monkeypatch.context() as m:
+        m.setattr(ztransform, "TAU_ROOT", 1e-18)
+        with pytest.raises(NonConvergence):
+            find_roots(s)
     # max(1, |root|)^D overflows for the root near -1e300; the gate must
     # neither overflow nor let the residual bound become inf
     s = build_S_poly(autocorrelation(ComplexSignal(np.array([1e-300, 1.0]))))
@@ -165,16 +167,18 @@ def test_find_roots_bound_at_its_boundary(monkeypatch):
     """The gate passes a root iff (resid / (tau * max|c|))^(1/D) <= max(1, |root|).
 
     With polish off, the root 2.25 of z^2 - 4 keeps the residual 1.0625
-    exactly, so tau sets rel. rel = 5 lies under |root|^D = 5.0625 and
-    passes; rel = 8 lies in (|root|^D, |root|^(D+1)] and fails, where a
-    (D+1)-th-root rule would let it through.
+    exactly, so TAU_ROOT sets rel. rel = 5 lies under |root|^D = 5.0625
+    and passes; rel = 8 lies in (|root|^D, |root|^(D+1)] and fails, where
+    a (D+1)-th-root rule would let it through.
     """
     monkeypatch.setattr(ztransform, "NEWTON_STEPS", 0)
     monkeypatch.setattr(np, "roots", lambda desc: np.array([2.25, -2.0], dtype=np.complex128))
     poly = PolyCoeffs(np.array([-4.0, 0.0, 1.0]))
-    assert list(find_roots(poly, tau_root=1.0625 / (4 * 5.0))) == [-2.0, 2.25]
+    monkeypatch.setattr(ztransform, "TAU_ROOT", 1.0625 / (4 * 5.0))
+    assert list(find_roots(poly)) == [-2.0, 2.25]
+    monkeypatch.setattr(ztransform, "TAU_ROOT", 1.0625 / (4 * 8.0))
     with pytest.raises(NonConvergence, match="residual 1.062e"):
-        find_roots(poly, tau_root=1.0625 / (4 * 8.0))
+        find_roots(poly)
 
 
 def test_pair_roots_unpairable():
@@ -274,14 +278,6 @@ def test_zero_pairing_holds_one_frozen_root_array():
             ZeroPairing(1.0, bad, (False,))
     betas = RootSelection(pairing, (True, False)).betas()
     assert betas.dtype == np.complex128 and betas.tolist() == [-2.0, -1.0 / 3.0]
-
-
-@pytest.mark.parametrize("tau_root", [np.nan, np.inf, -1.0, 0.0])
-def test_find_roots_tau_root_must_be_finite_and_positive(tau_root):
-    """z^2 + 1 has the roots +-i; a NaN or negative tau_root used to return
-    them with the residual gate off."""
-    with pytest.raises(ValueError, match="tau_root must be finite and positive"):
-        find_roots(PolyCoeffs(np.array([1.0, 0.0, 1.0])), tau_root=tau_root)
 
 
 def test_find_roots_polish_evaluates_each_value_once(monkeypatch):
