@@ -11,7 +11,6 @@ from .ambiguity import (
     distinct_canonical,
     enumerate_solutions,
     filter_by_anchor,
-    product_constraint,
     trivial_orbit_distance,
 )
 from .errors import FprlabError
@@ -30,6 +29,7 @@ from .hardness import (
     ground_truth_exact,
     ground_truth_signal,
 )
+from .reference import RootSelection, product_constraint, signal_from_selection
 from .signal_core import (
     Autocorrelation,
     ComplexSignal,
@@ -54,13 +54,11 @@ from .solvers import (
 )
 from .ztransform import (
     PolyCoeffs,
-    RootSelection,
     ZeroPairing,
     build_S_poly,
     eval_ztransform,
     find_roots,
     pair_roots,
-    signal_from_selection,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .errors import (
     ZeroSignal,
 )
 from .signal_core import ComplexSignal, checked_tol, frozen
-from .ztransform import RootSelection, ZeroPairing
+from .ztransform import ZeroPairing
 
 ENUM_BUDGET_PAIRS = 24
 ENUM_BUDGET_BYTES = 1 << 30
@@ -140,8 +140,8 @@ def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi) -> None:
 
 
 def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> np.ndarray:
-    """(len(codes), p + 1) block whose rows are signal_from_selection of
-    the selections with these codes, in order, at anchor phase alpha.
+    """(len(codes), p + 1) block whose rows are reference.signal_from_selection
+    of the selections with these codes, in order, at anchor phase alpha.
 
     Bitwise equal to that reference. After k factors a code's partial
     product depends only on its low k bits, so the products of the first b
@@ -183,9 +183,10 @@ def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
 
     Bit k of the encoding picks gamma (True) or gamma_recip (False) for
     pair k. The signals are built as one array, block by block, bitwise
-    equal to signal_from_selection. Raises EnumerationBudgetExceeded past
-    24 pairs, or before allocating anything when the codes and rows, 16 N + 8
-    bytes per selection, would pass ENUM_BUDGET_BYTES.
+    equal to reference.signal_from_selection. Raises
+    EnumerationBudgetExceeded past 24 pairs, or before allocating anything
+    when the codes and rows, 16 N + 8 bytes per selection, would pass
+    ENUM_BUDGET_BYTES.
     """
     p = _check_budget(pairing, 1 << pairing.n_pairs)
     codes = np.arange(1 << p)
@@ -235,34 +236,6 @@ def _anchor_power(x0: complex) -> float:
     return power
 
 
-def product_constraint(sel: RootSelection, x0: complex) -> float:
-    """Residual of the anchored product identity.
-
-    A selection consistent with anchor x0 must satisfy
-    prod(-beta_j) = r(N-1) / |x0|^2, the ratio x(N-1)/x(0) of the
-    expanded signal. Returns |prod(-beta_j) - r(N-1)/|x0|^2|.
-    """
-    target = complex(sel.pairing.scale) / _anchor_power(x0)
-    return float(abs(complex(np.prod(-sel.betas())) - target))
-
-
-def anchor_residuals(pairing: ZeroPairing, x0: complex) -> np.ndarray:
-    """product_constraint of every choice vector, in integer-encoding order.
-
-    Bitwise equal to that reference: rows are reduced by np.prod in pair
-    order and measured with hypot. The full scan is the reference that
-    _survivor_codes must match. Raises EnumerationBudgetExceeded past
-    24 pairs, ZeroAnchor when |x0|^2 is 0 or overflows, and
-    OverflowBeyondPrecision when a root product leaves double range.
-    """
-    p = _check_budget(pairing)
-    target = complex(pairing.scale) / _anchor_power(x0)
-    out = np.empty(1 << p)
-    for lo, hi in _blocks(1 << p):
-        out[lo:hi] = _residuals(pairing.pairs, np.arange(lo, hi), target)
-    return out
-
-
 def anchor_threshold(pairing: ZeroPairing, x0: complex, tol: float) -> float:
     """Accept bound tol * |r(N-1)| / |x0|^2 on an anchor residual.
 
@@ -276,15 +249,15 @@ def anchor_threshold(pairing: ZeroPairing, x0: complex, tol: float) -> float:
 def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray:
     """Codes whose anchor residual is within anchor_threshold, increasing.
 
-    Bitwise np.flatnonzero(anchor_residuals(pairing, x0) <= thr), found
-    without a complex product per selection. Since ||P| - |T|| <= |P - T|,
+    Bitwise np.flatnonzero(reference.anchor_residuals(pairing, x0) <= thr),
+    found without a complex product per selection. Since ||P| - |T|| <= |P - T|,
     a survivor's root product P has log|P| in [log(|T| - thr),
     log(|T| + thr)], and log|P| is the sum of its roots' log-moduli. The
     sums of the first b = min(p, RESIDUAL_BLOCK_BITS) pairs form one table
     in code order (doubling, bit k clear takes gamma_recip); each high code
     adds its own sum to it, one block of 2^b codes at a time. Only the
-    codes in the window get anchor_residuals' arithmetic, and those within
-    thr are kept.
+    codes in the window get _residuals' arithmetic, and those within thr
+    are kept.
 
     Rounding bound (u = 2^-53; a = the sum of |log|root|| over both roots
     of every pair, which bounds |log| of every partial product). A survivor
@@ -345,10 +318,11 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
 
     The survivors come from _survivor_codes, which checks only the codes
     whose root-product modulus can match the anchor; the result is the
-    same as thresholding anchor_residuals. Raises NoFeasibleSolution when
-    nothing survives, which certifies the anchor is inconsistent with the
-    pairing, and EnumerationBudgetExceeded, before expanding any, when the
-    survivors would pass the byte budget of enumerate_solutions.
+    same as thresholding reference.anchor_residuals. Raises
+    NoFeasibleSolution when nothing survives, which certifies the anchor is
+    inconsistent with the pairing, and EnumerationBudgetExceeded, before
+    expanding any, when the survivors would pass the byte budget of
+    enumerate_solutions.
     """
     survivors = _survivor_codes(pairing, x0, tol)
     if not survivors.size:

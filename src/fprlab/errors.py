@@ -73,8 +73,9 @@ class BudgetExceeded(FprlabError):
 
 class OverflowBeyondPrecision(FprlabError):
     """A number leaves what double precision holds: a constructed instance
-    would not survive float conversion exactly, or a product of paired
-    roots overflows or underflows double range."""
+    would not survive float conversion exactly, a product of paired roots
+    overflows or underflows double range, or a root-finding companion
+    matrix or a pairing's spectrum overflows."""
 
 
 class InvalidWitness(FprlabError):

@@ -7,11 +7,11 @@ import math
 
 import numpy as np
 
-from .ambiguity import ANCHOR_REL_TOL, anchor_residuals, anchor_threshold
+from .ambiguity import ANCHOR_REL_TOL, _survivor_codes
 from .errors import FprlabError, NoFeasibleSolution
 from .hardness import PPInstance, brute_force_pp, construct_hard_instance, enumerate_witnesses, ground_truth_signal
 from .signal_core import ComplexSignal, autocorrelation
-from .ztransform import factor
+from .ztransform import ZeroPairing, factor
 
 MIN_EDGE = 0.1
 GENERIC_TRIES = 200
@@ -29,13 +29,20 @@ def random_signal(n: int, rng: np.random.Generator) -> ComplexSignal:
             return ComplexSignal(e, full_support=True)
 
 
+def _decisively_unique(pairing: ZeroPairing, x0: complex) -> bool:
+    """Exactly one code survives the anchor at 10x ANCHOR_REL_TOL and exactly one at 0.1x it."""
+    return all(_survivor_codes(pairing, x0, f * ANCHOR_REL_TOL).size == 1 for f in (10.0, 0.1))
+
+
 def generic_instance(n: int, rng: np.random.Generator) -> tuple:
     """Draw a signal whose zero pairing is numerically unambiguous.
 
     Rejects draws with near-unit-circle zeros, near-coincident zeros, or
-    an anchor filter that is not decisively unique (second-best residual
-    within 10x of the accept threshold) for up to GENERIC_TRIES draws.
-    Returns (signal, pairing).
+    an anchor filter that is not decisively unique, for up to
+    GENERIC_TRIES draws. Decisively unique means the survivor search keeps
+    exactly one code at 10x the accept tolerance ANCHOR_REL_TOL and exactly
+    one at 0.1x it, so the second-best residual is not within 10x of the
+    accept threshold. Returns (signal, pairing).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -53,12 +60,8 @@ def generic_instance(n: int, rng: np.random.Generator) -> tuple:
             for a, b in itertools.combinations(roots, 2)
         ):
             continue
-        x0 = complex(x.entries[0])
-        residuals = np.sort(anchor_residuals(pairing, x0))
-        threshold = anchor_threshold(pairing, x0, ANCHOR_REL_TOL)
-        if residuals[0] > threshold * 0.1 or residuals[1] < 10.0 * threshold:
-            continue
-        return x, pairing
+        if _decisively_unique(pairing, complex(x.entries[0])):
+            return x, pairing
     raise NoFeasibleSolution(f"no clean draw of length {n} in {GENERIC_TRIES} tries")
 
 

@@ -4,8 +4,8 @@ The Laurent series R(z) = sum_{|n|<N} r(n) z^-n, lifted by z^(N-1), is an
 ordinary polynomial of degree 2N-2 whose roots come in conjugate-reciprocal
 partners (gamma, 1/conj(gamma)). Picking one member per partner pair and
 expanding recovers a signal with the prescribed intensity; this module owns
-that factorization, the pairing, and the expansion. `factor` is the
-roots-and-pairing stage of the pipeline: autocorrelation in, ZeroPairing out.
+that factorization and the pairing. `factor` is the roots-and-pairing stage
+of the pipeline: autocorrelation in, ZeroPairing out.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import (
     DegenerateLeadingLag,
     NonConvergence,
     OddUnitCircleMultiplicity,
+    OverflowBeyondPrecision,
     UnpairableRoots,
     ZeroArgument,
 )
@@ -113,26 +114,6 @@ class ZeroPairing:
         return len(self.pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSelection:
-    """One chosen member per pair: True takes gamma, False takes gamma_recip."""
-
-    pairing: ZeroPairing
-    choices: tuple
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        choices = tuple(bool(c) for c in self.choices)
-        if len(choices) != self.pairing.n_pairs:
-            raise ValueError("one choice per pair required")
-        object.__setattr__(self, "choices", choices)
-        object.__setattr__(self, "alpha", float(self.alpha))
-
-    def betas(self) -> np.ndarray:
-        pairs = self.pairing.pairs
-        return np.where(self.choices, pairs[:, 0], pairs[:, 1])
-
-
 def eval_ztransform(x: ComplexSignal, z: complex) -> complex:
     """X(z) = sum_k x(k) z^-k via Horner on z^(N-1) X(z)."""
     if x.n == 1:
@@ -161,13 +142,19 @@ def find_roots(p: PolyCoeffs) -> np.ndarray:
     |p(root)| <= TAU_ROOT * max|c| * max(1, |root|)^D, compared as D-th
     roots so that the bound cannot overflow for large roots. Each step
     keeps the polynomial value of every root it keeps, so the residual
-    costs no further evaluation.
+    costs no further evaluation. OverflowBeyondPrecision when the
+    companion matrix, coefficients over the leading one, leaves double
+    range.
     """
     d = p.degree
     if d == 0:
         return np.empty(0, np.complex128)
     desc = p.coeffs[::-1]
-    roots = np.roots(desc)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            roots = np.roots(desc)
+    except FloatingPointError as exc:
+        raise OverflowBeyondPrecision(f"the companion matrix leaves double range ({exc})") from None
     dp = np.polyder(desc)
     pv = np.polyval(desc, roots)
     for _ in range(NEWTON_STEPS):
@@ -236,33 +223,25 @@ def factor(r: Autocorrelation) -> ZeroPairing:
     return pair_roots(find_roots(build_S_poly(r)), r.entries[r.n - 1])
 
 
-def signal_from_selection(sel: RootSelection) -> ComplexSignal:
-    """Expand a root selection into the signal it determines.
-
-    x is read off the descending coefficients of
-    exp(i alpha) * |r(N-1)|^(1/2) * prod_n |beta_n|^(-1/2) * prod_n (z - beta_n),
-    which has |X| consistent with the pairing's spectrum and x(0) equal
-    to exp(i alpha) times a positive real.
-    """
-    betas = sel.betas()
-    c = np.sqrt(abs(sel.pairing.scale)) / np.sqrt(np.prod(np.abs(betas)))
-    coeffs = np.atleast_1d(np.poly(betas)).astype(np.complex128)
-    return ComplexSignal(np.exp(1j * sel.alpha) * c * coeffs)
-
-
 def spectrum_from_pairing(pairing: ZeroPairing, omegas) -> np.ndarray:
     """R(omega) evaluated straight from the factored form.
 
     conj(r(N-1)) * e^(-i omega (N-1)) * prod (e^(i omega) - gamma)(e^(i omega) - gamma_recip)
     is real for a valid pairing; the real part is returned with tiny
-    negative dust clamped to zero.
+    negative dust clamped to zero. OverflowBeyondPrecision when a partial
+    product overflows; underflow is harmless here and passes.
     """
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
     z = np.exp(1j * om)
     acc = np.full(om.shape, np.conj(complex(pairing.scale)), dtype=np.complex128)
-    for g, h in pairing.pairs.tolist():
-        acc = acc * (z - g) * (z - h)
-    acc = acc * z ** (-pairing.n_pairs)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for g, h in pairing.pairs.tolist():
+                acc *= z - g
+                acc *= z - h
+            acc *= z ** (-pairing.n_pairs)
+    except FloatingPointError as exc:
+        raise OverflowBeyondPrecision(f"the spectrum of the pairing leaves double range ({exc})") from None
     scale_mag = max(1.0, float(np.max(np.abs(acc), initial=1.0)))
     if float(np.max(np.abs(acc.imag), initial=0.0)) > 1e-6 * scale_mag:
         raise UnpairableRoots("pairing does not define a real spectrum")
@@ -271,15 +250,3 @@ def spectrum_from_pairing(pairing: ZeroPairing, omegas) -> np.ndarray:
     if float(np.min(vals, initial=0.0)) < floor:
         raise UnpairableRoots("pairing does not define a nonnegative spectrum")
     return np.maximum(vals, 0.0)
-
-
-def autocorr_from_pairing(pairing: ZeroPairing) -> Autocorrelation:
-    """Lags r(0..N-1) implied by a pairing, via expansion of conj(r(N-1)) * prod(z - root).
-
-    The expansion is conjugate-symmetrized, which forces r(0) exactly real.
-    """
-    asc = (np.conj(complex(pairing.scale)) * np.atleast_1d(np.poly(pairing.pairs.ravel())))[::-1]
-    n = pairing.n_pairs + 1
-    down = asc[n - 1 :: -1]          # c(N-1-n) for n = 0..N-1
-    up = np.conj(asc[n - 1 :])       # conj(c(N-1+n))
-    return Autocorrelation((down + up) / 2.0)

@@ -1,24 +1,26 @@
+import ast
 import itertools
+import pathlib
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import pairing_of_signal, signals_with_clean_roots, well_separated
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fprlab
 from fprlab import ambiguity
 from fprlab.ambiguity import (
     ANCHOR_REL_TOL,
     SolutionSet,
-    anchor_residuals,
     anchor_threshold,
     anchored_solutions,
     canonicalize,
     distinct_canonical,
     enumerate_solutions,
     filter_by_anchor,
-    product_constraint,
     trivial_orbit_distance,
 )
 from fprlab.errors import (
@@ -28,26 +30,11 @@ from fprlab.errors import (
     ZeroAnchor,
     ZeroSignal,
 )
-from fprlab.errors import FprlabError
-from fprlab.generate import all_pp_instances, random_signal
-from fprlab.hardness import PPInstance, construct_hard_instance
+from fprlab.generate import random_signal
+from fprlab.reference import RootSelection, anchor_residuals, product_constraint, signal_from_selection
 from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity, uniform_grid
 from fprlab.solvers import PRInstance, oracle_solve
-from fprlab.ztransform import (
-    RootSelection,
-    ZeroPairing,
-    build_S_poly,
-    find_roots,
-    pair_roots,
-    signal_from_selection,
-)
-
-from test_ztransform import signals_with_clean_roots, well_separated
-
-
-def pairing_of_signal(x):
-    r = autocorrelation(x)
-    return r, pair_roots(find_roots(build_S_poly(r)), r.entries[-1])
+from fprlab.ztransform import ZeroPairing
 
 
 def test_enumeration_cardinality_frozen():
@@ -69,28 +56,22 @@ def test_enumeration_cardinality_frozen():
 @given(signals_with_clean_roots())
 @settings(max_examples=60, deadline=None)
 def test_enumeration_counts(pair):
+    """2^(N-1) selections, 2^(N-2) of them distinct up to the trivial
+    ambiguities, and each one, enumerated or expanded by
+    reference.signal_from_selection, has the intensity of x."""
     roots, x = pair
-    assume(x.n >= 2)
     assume(well_separated(roots))
     _, pairing = pairing_of_signal(x)
     sols = enumerate_solutions(pairing)
     assert len(sols.solutions) == 2 ** (x.n - 1)
     # modding out the trivial ambiguities halves the count exactly
     assert len(distinct_canonical(sols.signals())) == 2 ** (x.n - 2)
-
-
-@given(signals_with_clean_roots())
-@settings(max_examples=40, deadline=None)
-def test_enumerated_solutions_share_intensity(pair):
-    roots, x = pair
-    assume(well_separated(roots))
-    _, pairing = pairing_of_signal(x)
     om = uniform_grid(2 * x.n + 1)
     ref = fourier_intensity(x, om).values
     scale = float(np.max(ref)) + 1.0
-    for _, sig in enumerate_solutions(pairing).solutions:
-        got = fourier_intensity(sig, om).values
-        assert np.allclose(got, ref, rtol=1e-6, atol=1e-6 * scale)
+    for choices, sig in sols.solutions:
+        for y in (sig, signal_from_selection(RootSelection(pairing, choices))):
+            assert np.allclose(fourier_intensity(y, om).values, ref, rtol=1e-6, atol=1e-6 * scale)
 
 
 def test_single_entry_signal_roundtrip():
@@ -180,17 +161,17 @@ def test_filter_by_anchor_frozen():
     for anchored in (lambda x0: filter_by_anchor(sols, x0), lambda x0: anchored_solutions(pairing, x0)):
         with pytest.raises(NoFeasibleSolution):
             anchored(10.0)
-        for zero in (0.0, 1e-170):
-            with pytest.raises(ZeroAnchor):
-                anchored(zero)
     # |1e-170|^2 underflows to 0, so it cannot divide r(N-1) either
     for zero in (0.0, 1e-170):
-        with pytest.raises(ZeroAnchor):
-            anchor_residuals(pairing, zero)
-        with pytest.raises(ZeroAnchor):
-            anchor_threshold(pairing, zero, ANCHOR_REL_TOL)
-        with pytest.raises(ZeroAnchor):
-            product_constraint(RootSelection(pairing, (True, True)), zero)
+        for call in (
+            lambda: filter_by_anchor(sols, zero),
+            lambda: anchored_solutions(pairing, zero),
+            lambda: anchor_residuals(pairing, zero),
+            lambda: anchor_threshold(pairing, zero, ANCHOR_REL_TOL),
+            lambda: product_constraint(RootSelection(pairing, (True, True)), zero),
+        ):
+            with pytest.raises(ZeroAnchor):
+                call()
 
 
 def test_filter_by_anchor_sets_leading_phase():
@@ -203,11 +184,9 @@ def test_filter_by_anchor_sets_leading_phase():
     assert lead == pytest.approx(anchor, rel=1e-9)
 
 
-def test_filter_keeps_all_matching_selections():
-    # double unit-circle root: both selections expand to the same signal
-    x = ComplexSignal(np.array([1.0, -1.0]))
-    _, pairing = pairing_of_signal(x)
-    sols = enumerate_solutions(pairing)
+def test_filter_keeps_all_matching_selections(corpus):
+    # double unit-circle root of [1, -1]: both selections expand to the same signal
+    sols = enumerate_solutions(corpus.flagged[0])
     kept = filter_by_anchor(sols, 1.0)
     assert len(kept.solutions) == 2
     for _, sig in kept.solutions:
@@ -232,29 +211,6 @@ def test_choice_vector_encoding_order():
     assert seen == [(False, False), (True, False), (False, True), (True, True)]
 
 
-def _differential_corpus():
-    """Seeded pairings at N = 1..14, each with its true anchor and an inconsistent one.
-
-    N = 14 has 8192 selections, so the residual scan crosses a block boundary.
-    """
-    rng = np.random.default_rng(20220912)
-    corpus = []
-    for n in range(1, 15):
-        for _ in range(24 if n <= 10 else 8 if n <= 13 else 2):
-            x = random_signal(n, rng)
-            if n == 1:
-                pairing = ZeroPairing(complex(autocorrelation(x).entries[0]), (), ())
-            else:
-                try:
-                    _, pairing = pairing_of_signal(x)
-                except FprlabError:
-                    continue
-            x0 = complex(x.entries[0])
-            corpus.append((pairing, x0))
-            corpus.append((pairing, 1.5 * x0))
-    return corpus
-
-
 def _reference_anchored(pairing, x0):
     """Per-selection product_constraint scan, expanding survivors with alpha = arg(x0)."""
     p = pairing.n_pairs
@@ -270,28 +226,31 @@ def _reference_anchored(pairing, x0):
     return np.array(residuals), keep
 
 
-def test_anchored_scan_matches_per_selection_reference():
-    corpus = _differential_corpus()
-    assert len(corpus) >= 400
+def test_anchored_scan_matches_per_selection_reference(corpus):
+    """anchor_residuals equals a product_constraint loop, and
+    anchored_solutions (with filter_by_anchor below 8 pairs) expands
+    exactly its survivors, bitwise as signal_from_selection does, on every
+    corpus pairing but the sweep's and those past 13 pairs (the loop would
+    take seconds). oracle_solve returns the first survivor with x(0) set
+    to the anchor, or NoFeasibleSolution when nothing survives."""
+    generic = [case for case in corpus.generic if case[0].n_pairs <= 13]
+    assert len(generic) >= 400
     # anchors of modulus sqrt|r(N-1)| keep every equal-product split of the
     # real pairings, so several survivors are expanded at a nonzero phase;
     # the complex-scale pairings define no real spectrum to pose the oracle on
-    phased = [
-        (pairing, np.sqrt(abs(pairing.scale)) * np.exp(0.7j))
-        for pairing in _real_polynomial_pairings()
-        if pairing.scale.imag == 0
-    ]
-    feasible, several = 0, 0
-    for pairing, x0 in corpus + phased:
+    unique, several = 0, 0
+    for pairing, x0 in [*generic, *corpus.closable, corpus.sixteen, corpus.flagged, *corpus.empty, *corpus.near, *corpus.wide]:
         ref_res, ref_keep = _reference_anchored(pairing, x0)
         assert anchor_residuals(pairing, x0).tobytes() == ref_res.tobytes()
+        posed = pairing.scale.imag == 0
         if not ref_keep:
             with pytest.raises(NoFeasibleSolution):
                 anchored_solutions(pairing, x0)
-            with pytest.raises(NoFeasibleSolution):
-                oracle_solve(PRInstance.from_pairing(pairing, x0))
+            if posed:
+                with pytest.raises(NoFeasibleSolution):
+                    oracle_solve(PRInstance.from_pairing(pairing, x0))
             continue
-        feasible += 1
+        unique += len(ref_keep) == 1
         several += len(ref_keep) > 1
         outs = [anchored_solutions(pairing, x0)]
         if pairing.n_pairs < 8:  # full expansion is slow and filter_by_anchor reads only the pairing
@@ -300,11 +259,12 @@ def test_anchored_scan_matches_per_selection_reference():
             assert [c for c, _ in got.solutions] == [c for c, _ in ref_keep]
             for (_, sig), (_, ref) in zip(got.solutions, ref_keep):
                 assert sig.entries.tobytes() == ref.entries.tobytes()
-        expected = ref_keep[0][1].entries.copy()
-        expected[0] = x0
-        found = oracle_solve(PRInstance.from_pairing(pairing, x0)).final
-        assert found.entries.tobytes() == expected.tobytes()
-    assert feasible - several >= len(corpus) // 2
+        if posed:
+            expected = ref_keep[0][1].entries.copy()
+            expected[0] = x0
+            found = oracle_solve(PRInstance.from_pairing(pairing, x0)).final
+            assert found.entries.tobytes() == expected.tobytes()
+    assert unique >= len(generic) // 2
     assert several >= 20
 
 
@@ -327,33 +287,23 @@ def _tol_at(pairing, x0, residual):
     return None
 
 
-def test_survivor_search_matches_full_scan_at_its_boundaries():
+def test_survivor_search_matches_full_scan_at_its_boundaries(corpus):
     """_survivor_codes, which checks only the codes whose root-product
     modulus falls in the anchor window, keeps exactly the codes the full
-    anchor_residuals scan keeps: on generic pairings with N = 2..16 (two
-    blocks past 12 pairs) at the true anchor and at 1.5x it, on every sweep
-    embedding, on the 16-survivor hard instance, on a flagged unit-circle
-    pair, on the empty pairing, at tol = 0 and at tols whose threshold
-    passes |T| = |r(N-1)|/|x0|^2, and on roots so far apart that partial
-    products leave double range. At a tol whose threshold equals a code's
-    residual, and one ulp of tol either side, the two still agree, for the
-    best code (a window of a few ulps) and the runner-up (a window that
-    ends at that code's modulus)."""
-    rng = np.random.default_rng(20261018)
-    generic, stepped = [], 0
-    for n in range(2, 17):
-        for _ in range(6 if n <= 12 else 2):
-            x = random_signal(n, rng)
-            try:
-                _, pairing = pairing_of_signal(x)
-            except FprlabError:
-                continue
-            generic.append((pairing, complex(x.entries[0])))
-    assert {pairing.n_pairs for pairing, _ in generic} == set(range(1, 16))
-    for pairing, x0 in generic:
+    anchor_residuals scan keeps: on the generic pairings with N = 1..16
+    (two blocks past 12 pairs) at the true anchor and at 1.5x it, on every
+    sweep embedding, on the 16-survivor hard instance, on a flagged
+    unit-circle pair, on the empty pairings, at tol = 0 and at tols whose
+    threshold passes |T| = |r(N-1)|/|x0|^2, and on roots so far apart
+    that partial products leave double range. At a tol whose threshold
+    equals a code's residual, and one ulp of tol either side, the two
+    still agree, for the best code (a window of a few ulps) and the
+    runner-up (a window that ends at that code's modulus)."""
+    stepped = 0
+    assert {pairing.n_pairs for pairing, _ in corpus.generic} == set(range(16))
+    for i, (pairing, x0) in enumerate(corpus.generic):
         kept = _scan_codes(pairing, x0, ANCHOR_REL_TOL)
-        assert kept.size == 1
-        _scan_codes(pairing, 1.5 * x0, ANCHOR_REL_TOL)
+        assert kept.size == (1 if i % 2 == 0 else 0)
         for tol in (0.0, 1.0, 3.0):
             _scan_codes(pairing, x0, tol)
         residuals = anchor_residuals(pairing, x0)
@@ -366,74 +316,44 @@ def test_survivor_search_matches_full_scan_at_its_boundaries():
             assert code in _scan_codes(pairing, x0, float(np.nextafter(tol, np.inf)))
             if tol > 0:
                 _scan_codes(pairing, x0, float(np.nextafter(tol, -np.inf)))
-    assert stepped >= len(generic)
-    sweep = 0
-    for n in (3, 4, 5):
-        for pp in all_pp_instances(n, 2, 6):
-            pr = construct_hard_instance(pp).pr
-            sweep += 1
-            _scan_codes(pr.pairing, pr.anchor, ANCHOR_REL_TOL)
-    assert sweep == 3860
-    pr = construct_hard_instance(PPInstance((3, 2, 3, 2, 3, 2, 3, 2, 36))).pr
-    assert _scan_codes(pr.pairing, pr.anchor, ANCHOR_REL_TOL).size == 16
-    assert _scan_codes(pr.pairing, pr.anchor, 0.0).size == 16
-    _, flagged = pairing_of_signal(ComplexSignal(np.array([1.0, -1.0])))
-    assert flagged.unit_circle_flags == (True,)
-    assert _scan_codes(flagged, 1.0, ANCHOR_REL_TOL).size == 2
-    for scale, survivors in ((5.0, 1), (-4.0 + 3.0j, 0)):
-        assert _scan_codes(ZeroPairing(scale, (), ()), 2.0 + 1.0j, ANCHOR_REL_TOL).size == survivors
-    # |gamma| from 1e8 to 1e18: the log-moduli sum to ~10^2, and the
-    # rounding of that sum passes the 2^-49 relative slack on most draws, so
-    # a planted code's zero residual is found at tol = 0 only through the
-    # window's rounding widening E
-    for _ in range(8):
-        gammas = 10.0 ** rng.uniform(8, 18, 8) * np.exp(1j * rng.uniform(0, np.pi, 8))
-        planted = rng.integers(1 << 8, size=1)
-        picked = np.where(ambiguity._code_bits(planted, 8)[0], gammas, 1 / np.conj(gammas))
-        wide = ZeroPairing(complex(np.prod(-picked)), tuple(zip(gammas, 1 / np.conj(gammas))), (False,) * 8)
-        assert planted[0] in _scan_codes(wide, 1.0, 0.0)
+    assert stepped >= len(corpus.generic)
+    for pairing, x0 in corpus.sweep + corpus.near:
+        _scan_codes(pairing, x0, ANCHOR_REL_TOL)
+    assert len(corpus.sweep) == 3860
+    assert _scan_codes(*corpus.sixteen, ANCHOR_REL_TOL).size == 16
+    assert _scan_codes(*corpus.sixteen, 0.0).size == 16
+    assert corpus.flagged[0].unit_circle_flags == (True,)
+    assert _scan_codes(*corpus.flagged, ANCHOR_REL_TOL).size == 2
+    for (pairing, x0), survivors in zip(corpus.empty, (1, 0)):
+        assert _scan_codes(pairing, x0, ANCHOR_REL_TOL).size == survivors
+    # a wide pairing's planted code has a zero residual; at tol = 0 the
+    # search finds it only through the window's rounding widening E
+    for (pairing, x0), planted in zip(corpus.wide, corpus.planted):
+        assert planted in _scan_codes(pairing, x0, 0.0)
     # roots 1e200 and 1e-200 take partial products out of double range: code
     # 0b1100 has the root product 1, but np.prod would underflow it to 0, so
     # the search and the full scan both refuse the pairing
-    far = ZeroPairing(1.0, ((1e200, 1e-200),) * 4, (False,) * 4)
     with pytest.raises(OverflowBeyondPrecision):
-        ambiguity._survivor_codes(far, 1.0, ANCHOR_REL_TOL)
+        ambiguity._survivor_codes(*corpus.far, ANCHOR_REL_TOL)
     with pytest.raises(OverflowBeyondPrecision):
-        anchor_residuals(far, 1.0)
+        anchor_residuals(*corpus.far)
 
 
-def _real_polynomial_pairings():
-    """Pairings with selections whose roots are closed under conjugation.
-
-    Real roots (-u, -1/u), u in 2..6, as the product-partition embedding
-    builds them, and exact conjugate partners (g, h), (conj g, conj h).
-    """
-    for n in range(1, 5):
-        for us in itertools.combinations_with_replacement(range(2, 7), n):
-            yield ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us), (False,) * n)
-    for g in (1 + 2j, -0.5 + 1.5j, 3 - 1j, 0.25 - 0.75j):
-        h = 1 / np.conj(g)
-        pairs = ((g, h), (np.conj(g), np.conj(h)), (-2.0, -0.5))
-        yield ZeroPairing(3.0, pairs, (False,) * 3)
-        yield ZeroPairing(2.0 - 1.0j, pairs + ((g * 1j, h * 1j), (np.conj(g * 1j), np.conj(h * 1j))), (False,) * 5)
-
-
-def test_enumeration_matches_per_selection_reference():
+def test_enumeration_matches_per_selection_reference(corpus):
     """enumerate_solutions equals a signal_from_selection loop bit for bit.
 
-    Every code of the first 4 corpus pairings of each size up to 10 pairs
+    Every code of the first 4 generic pairings of each size up to 10 pairs
     (more would cost seconds of reference expansion), a stride through
     13-pair pairings that takes in codes 4095 and 4096 on either side of
-    the block boundary, pairings that reach np.poly's real branch, the
-    flagged self-pair of [1, -1], and the empty pairing. The 13-pair
-    pairings are the generic corpus ones, where no root's conjugate is a
-    root, and two closable ones: real roots (-u, -1/u), and six pairs of
-    exact conjugate partners ahead of a real pair, so that codes 0, 4095,
-    4096 and 8191 take np.poly's real branch in both blocks.
+    the block boundary, the corpus pairings that reach np.poly's real
+    branch, the flagged self-pair of [1, -1], and the empty pairings. The
+    13-pair pairings are the generic ones, where no root's conjugate is a
+    root, and the two closable ones, whose codes 0, 4095, 4096 and 8191
+    take np.poly's real branch in both blocks.
     """
     p13 = sorted({*range(0, 1 << 13, 97), 4095, 4096, (1 << 13) - 1})
     cases, taken = [], Counter()
-    for pairing, _ in _differential_corpus()[::2]:
+    for pairing, _ in corpus.generic[::2]:
         p = pairing.n_pairs
         if p <= 10 and taken[p] < 4:
             taken[p] += 1
@@ -443,15 +363,9 @@ def test_enumeration_matches_per_selection_reference():
             assert not np.any(roots.conj()[:, None] == roots)
             cases.append((pairing, p13))
     assert sum(codes is p13 for _, codes in cases) == 2
-    us = 2.0 + 0.25 * np.arange(13)
-    cases.append((ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us), (False,) * 13), p13))
-    gs = [(1.1 + 0.2 * k) * np.exp(1j * (0.3 + 0.4 * k)) for k in range(6)]
-    partners = [pair for g in gs for pair in ((g, 1 / np.conj(g)), (np.conj(g), 1 / g))]
-    cases.append((ZeroPairing(5.0, (*partners, (-2.0, -0.5)), (False,) * 13), p13))
-    cases += [(pairing, range(1 << pairing.n_pairs)) for pairing in _real_polynomial_pairings()]
-    _, flagged = pairing_of_signal(ComplexSignal(np.array([1.0, -1.0])))
-    assert flagged.unit_circle_flags == (True,)
-    cases += [(flagged, range(2)), (ZeroPairing(-4.0 + 3.0j, (), ()), range(1))]
+    assert corpus.flagged[0].unit_circle_flags == (True,)
+    for pairing, _ in [*corpus.closable, corpus.flagged, *corpus.empty]:
+        cases.append((pairing, p13 if pairing.n_pairs == 13 else range(1 << pairing.n_pairs)))
     for pairing, codes in cases:
         got = enumerate_solutions(pairing).solutions
         assert len(got) == 1 << pairing.n_pairs
@@ -510,24 +424,24 @@ def _assert_views(sols, want):
         pairs[1.0]
 
 
-def test_solution_set_derived_views():
+def test_solution_set_derived_views(corpus):
     """Choice tuples and signals are derived from codes and one row block:
     in the old itertools.product order for full sets, in survivor-code
     order for an anchored set with several survivors."""
     sizes = Counter()
-    for pairing, _ in _differential_corpus()[::2]:
+    for pairing, _ in corpus.generic[::2]:
         p = pairing.n_pairs
         if p <= 10:
             sizes[p] += 1
             want = [c[::-1] for c in itertools.product((False, True), repeat=p)]
             _assert_views(enumerate_solutions(pairing), want)
     assert set(sizes) == set(range(11))
-    pr = construct_hard_instance(PPInstance((3, 2, 3, 2, 3, 2, 3, 2, 36))).pr
-    threshold = anchor_threshold(pr.pairing, pr.anchor, ANCHOR_REL_TOL)
-    survivors = np.flatnonzero(anchor_residuals(pr.pairing, pr.anchor) <= threshold)
-    kept = anchored_solutions(pr.pairing, pr.anchor)
+    pairing, x0 = corpus.sixteen
+    threshold = anchor_threshold(pairing, x0, ANCHOR_REL_TOL)
+    survivors = np.flatnonzero(anchor_residuals(pairing, x0) <= threshold)
+    kept = anchored_solutions(pairing, x0)
     assert survivors.size == 16 and kept.codes.tolist() == survivors.tolist()
-    _assert_views(kept, [tuple(bits) for bits in ambiguity._code_bits(survivors, pr.pairing.n_pairs).tolist()])
+    _assert_views(kept, [tuple(bits) for bits in ambiguity._code_bits(survivors, pairing.n_pairs).tolist()])
 
 
 def test_anchor_tol_must_be_finite_and_nonnegative():
@@ -606,3 +520,19 @@ def test_enumeration_bytes_per_selection():
         tracemalloc.stop()
     assert len(sols.solutions) == 1 << p
     assert peak < 2 * (1 << p) * (16 * (p + 1) + 8)
+
+
+def test_reference_paths_stay_out_of_the_runtime():
+    """No package module but __init__ imports fprlab.reference, and each
+    reference name is defined only there, so no runtime path leans on a
+    slow one or keeps a second copy of it."""
+    moved = ["RootSelection", "anchor_residuals", "autocorr_from_pairing", "product_constraint", "signal_from_selection"]
+    defined = []
+    for path in sorted(pathlib.Path(fprlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in moved:
+                defined.append((node.name, path.name))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name not in ("__init__.py", "reference.py"):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert "reference" not in {n.rpartition(".")[2] for n in names}, (path.name, node.lineno)
+    assert sorted(defined) == [(name, "reference.py") for name in moved]

@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -164,16 +163,24 @@ def test_solve_bounds_must_be_finite(tmp_path, capsys, option, name, rule, value
     assert err.startswith(f"error: {name} must be finite and {rule}, got ")
 
 
-def test_enumerate_refuses_root_products_out_of_double_range(tmp_path, capsys):
-    """Roots 1e200 and 1e-200 put partial products out of double range; the
-    anchored search stops with a typed error instead of numpy warnings and a
-    misjudged survivor."""
-    far = {"kind": "pairing", "scale": [1, 0], "anchor": [1, 0], "pairs": [[[1e200, 0], [1e-200, 0]]] * 4}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, ["enumerate", write(tmp_path, "far.json", far)])
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("enumerate", {"kind": "pairing", "scale": [1, 0], "anchor": [1, 0], "pairs": [[[1e200, 0], [1e-200, 0]]] * 4}, "a root product"),
+        ("enumerate", {"kind": "signal", "entries": [[5e-324, 0], [1, 0]]}, "the companion matrix"),
+        ("solve", {"kind": "signal", "entries": [[5e-324, 0], [1, 0]]}, "the companion matrix"),
+        ("solve", {"kind": "pairing", "scale": [1e308, 0], "anchor": [1, 0], "pairs": [[[-2, 0], [-0.5, 0]]]}, "the spectrum of the pairing"),
+    ],
+    ids=["far-roots", "tiny-lead-enumerate", "tiny-lead-solve", "huge-scale"],
+)
+def test_out_of_double_range_is_a_typed_error(tmp_path, capsys, command, doc, message):
+    """Roots 1e200 and 1e-200 take anchored partial products out of double
+    range, x(0) = 5e-324 makes the companion matrix divide by 5e-324, and
+    scale 1e308 overflows the sampled intensity: one typed error line each,
+    no numpy warning, no misjudged survivor."""
+    code, out, err = run(capsys, [command, write(tmp_path, "doc.json", doc)])
     assert code == 2 and out == ""
-    assert err.startswith("error: a root product leaves double range")
+    assert err.startswith(f"error: {message} leaves double range (") and err.count("\n") == 1
 
 
 def test_solve_oracle_on_signal(tmp_path, capsys):

@@ -112,9 +112,10 @@ def test_overflow_guard():
 
 
 def _recording_solver(seen, entries):
+    """A solver whose only iterate is entries; it appends each instance it is given to seen."""
     sig = ComplexSignal(np.asarray(entries, dtype=np.complex128))
 
-    def solver(inst, cfg=None):
+    def solver(inst, cfg=None, start=None):
         seen.append(inst)
         return IterateTrace((sig,), np.array([0.0]), True)
 
@@ -277,27 +278,18 @@ def test_decide_duplicate_removal():
     assert d.removed_pairs == ((1, 2),)
 
 
-def _stub_solver_for(entries):
-    sig = ComplexSignal(np.asarray(entries, dtype=np.complex128))
-
-    def solver(inst, cfg=None, start=None):
-        return IterateTrace((sig,), np.array([0.0]), True)
-
-    return solver
-
-
 def test_decide_exhausting_removals_reports_no_solution():
     # a fake near-solution carrying all four root pairs forces the
     # duplicate rule twice, emptying the instance
     roots = np.array([-2.0, -0.5, -3.0, -1.0 / 3.0])
-    stub = _stub_solver_for(np.poly(roots))
+    stub = _recording_solver([], np.poly(roots))
     d = decide_pp(PPInstance((2, 2, 3, 3, 5)), stub)
     assert d.answer is PPAnswer.NO_SOLUTION
     assert d.removed_pairs == ((1, 2), (3, 4))
 
 
 def test_decide_both_roots_without_duplicate_certifies_existence():
-    stub = _stub_solver_for(np.poly(np.array([-2.0, -0.5])))
+    stub = _recording_solver([], np.poly(np.array([-2.0, -0.5])))
     d = decide_pp(PPInstance((2, 3, 6)), stub)
     assert d.answer is PPAnswer.HAS_SOLUTION
     assert d.witness is None

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import entries_lists
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +20,6 @@ from fprlab.signal_core import (
     spectrum_from_autocorr,
     uniform_grid,
 )
-
-
-def entries_lists(min_n=1, max_n=10, mag=3.0):
-    elem = st.complex_numbers(max_magnitude=mag, allow_nan=False, allow_infinity=False)
-    return st.lists(elem, min_size=min_n, max_size=max_n)
 
 
 def autocorr_by_loops(e):

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import pairing_of_signal
 
 from fprlab.ambiguity import trivial_orbit_distance
 from fprlab.errors import (
@@ -24,7 +25,6 @@ from fprlab.solvers import (
     reduction_iteration_budget,
     wirtinger_flow_solve,
 )
-from fprlab.ztransform import build_S_poly, find_roots, pair_roots
 
 
 def random_full_support(n, seed):
@@ -33,11 +33,6 @@ def random_full_support(n, seed):
         e = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if abs(e[0]) > 0.3 and abs(e[-1]) > 0.3:
             return ComplexSignal(e, full_support=True)
-
-
-def pairing_of_signal(x):
-    r = autocorrelation(x)
-    return pair_roots(find_roots(build_S_poly(r)), r.entries[-1])
 
 
 def test_instance_normalization_is_r0():
@@ -51,7 +46,7 @@ def test_instance_normalization_is_r0():
 
 def test_instance_validation():
     x = random_full_support(3, 2)
-    pairing = pairing_of_signal(x)
+    pairing = pairing_of_signal(x)[1]
     grid = fourier_intensity(x, uniform_grid(12))
     with pytest.raises(ValueError):
         PRInstance(pairing, 0.0, grid)
@@ -60,7 +55,7 @@ def test_instance_validation():
 def test_instance_refuses_non_finite_anchor():
     """An infinite or NaN anchor used to give an instance that only
     ZeroAnchor refused later, inside the anchored search."""
-    pairing = pairing_of_signal(random_full_support(3, 2))
+    pairing = pairing_of_signal(random_full_support(3, 2))[1]
     for bad in (np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)):
         with pytest.raises(ValueError, match="anchor x\\(0\\) must be finite and nonzero"):
             PRInstance.from_pairing(pairing, bad)
@@ -284,7 +279,7 @@ def test_oracle_recovers_ground_truth():
 
 def test_oracle_infeasible_anchor():
     x = ComplexSignal(np.array([9.0, 45.0, 54.0]))
-    pairing = pairing_of_signal(x)
+    pairing = pairing_of_signal(x)[1]
     inst = PRInstance.from_pairing(pairing, 10.0)
     with pytest.raises(NoFeasibleSolution):
         oracle_solve(inst)

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import entries_lists, pairing_of_signal, signals_with_clean_roots, well_separated
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from fprlab.errors import (
     UnpairableRoots,
     ZeroArgument,
 )
+from fprlab.reference import RootSelection, autocorr_from_pairing, signal_from_selection
 from fprlab.signal_core import (
     Autocorrelation,
     ComplexSignal,
@@ -22,44 +24,14 @@ from fprlab.signal_core import (
 )
 from fprlab.ztransform import (
     PolyCoeffs,
-    RootSelection,
     ZeroPairing,
-    autocorr_from_pairing,
     build_S_poly,
     eval_ztransform,
     factor,
     find_roots,
     pair_roots,
-    signal_from_selection,
     spectrum_from_pairing,
 )
-
-# moduli kept away from 1 and from each other's reciprocals so random
-# draws never produce borderline pairings
-SAFE_MODULI = [0.3, 0.5, 0.75, 1.3, 1.8, 2.5]
-
-
-def signals_with_clean_roots(max_roots=4):
-    phase = st.floats(min_value=0.0, max_value=2.0 * np.pi, exclude_max=True)
-    root = st.tuples(st.sampled_from(SAFE_MODULI), phase).map(
-        lambda t: t[0] * np.exp(1j * t[1])
-    )
-    return st.lists(root, min_size=1, max_size=max_roots).map(
-        lambda roots: (np.array(roots), ComplexSignal(1.3 * np.atleast_1d(np.poly(np.array(roots))), full_support=True))
-    )
-
-
-def well_separated(roots):
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < 0.05:
-                return False
-    return True
-
-
-def pairing_of_signal(x):
-    r = autocorrelation(x)
-    return r, pair_roots(find_roots(build_S_poly(r)), r.entries[-1])
 
 
 def test_factor_is_roots_then_pairing():
@@ -84,11 +56,7 @@ def test_eval_ztransform_frozen():
 
 
 @given(
-    st.lists(
-        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
-        min_size=1,
-        max_size=7,
-    ),
+    entries_lists(max_n=7, mag=2.0),
     st.floats(min_value=0.4, max_value=2.5),
     st.floats(min_value=0.0, max_value=2.0 * np.pi),
 )
@@ -211,9 +179,7 @@ def test_pair_roots_double_root_on_circle():
 
 def test_pair_roots_double_root_off_circle():
     # x-polynomial (z - 2)^2: S roots {2, 2, 1/2, 1/2}
-    x = ComplexSignal(np.array([1.0, -4.0, 4.0]))
-    r = autocorrelation(x)
-    p = pair_roots(find_roots(build_S_poly(r)), r.entries[-1])
+    _, p = pairing_of_signal(ComplexSignal(np.array([1.0, -4.0, 4.0])))
     assert p.unit_circle_flags == (False, False)
     gs = sorted(abs(g) for g, _ in p.pairs)
     assert gs == pytest.approx([2.0, 2.0], rel=1e-6)
@@ -329,36 +295,14 @@ def test_pairing_spectrum_matches_intensity(pair):
 
 
 def test_signal_from_selection_frozen():
-    r = autocorrelation(ComplexSignal(np.array([1.0, -2.0])))
-    pairing = pair_roots(find_roots(build_S_poly(r)), r.entries[-1])
+    """Both selections of [1, -2]; alpha rotates the global phase."""
+    _, pairing = pairing_of_signal(ComplexSignal(np.array([1.0, -2.0])))
     up = signal_from_selection(RootSelection(pairing, (True,)))
     down = signal_from_selection(RootSelection(pairing, (False,)))
     got = sorted([tuple(np.round(up.entries, 9)), tuple(np.round(down.entries, 9))])
     assert got == [((1 + 0j), (-2 + 0j)), ((2 + 0j), (-1 + 0j))]
-
-
-def test_selection_alpha_rotates_global_phase():
-    r = autocorrelation(ComplexSignal(np.array([1.0, -2.0])))
-    pairing = pair_roots(find_roots(build_S_poly(r)), r.entries[-1])
-    base = signal_from_selection(RootSelection(pairing, (True,), alpha=0.0))
     rot = signal_from_selection(RootSelection(pairing, (True,), alpha=np.pi / 2))
-    assert np.allclose(rot.entries, 1j * base.entries, atol=1e-12)
-
-
-@given(signals_with_clean_roots())
-@settings(max_examples=60, deadline=None)
-def test_selections_share_the_intensity(pair):
-    roots, x = pair
-    assume(well_separated(roots))
-    r, pairing = pairing_of_signal(x)
-    om = uniform_grid(2 * x.n + 3)
-    ref = fourier_intensity(x, om).values
-    scale = float(np.max(ref)) + 1.0
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        choices = tuple(bool(b) for b in rng.integers(0, 2, pairing.n_pairs))
-        y = signal_from_selection(RootSelection(pairing, choices))
-        assert np.allclose(fourier_intensity(y, om).values, ref, rtol=1e-6, atol=1e-6 * scale)
+    assert np.allclose(rot.entries, 1j * up.entries, atol=1e-12)
 
 
 def test_poly_coeffs_strips_trailing_zeros():
