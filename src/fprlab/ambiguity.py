@@ -132,11 +132,21 @@ def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi) -> None:
     """Multiply the coefficient columns (re, im), k factors in, by (z + w), in place.
 
     Bitwise np.poly: with w = -beta, coefficient j becomes a[j-1]*w + a[j],
-    and the line below spells out the real operations in the order
-    np.convolve's complex dot (OpenBLAS zdotu) performs them.
+    and the lines below spell out the real operations in the order
+    np.convolve's complex dot (OpenBLAS zdotu) performs them,
+    re: (pr*wr + cr) - pi*wi and im: pr*wi + (pi*wr + ci), through three
+    temporaries.
     """
-    pr, pi, cr, ci = re[: k + 1], im[: k + 1], re[1 : k + 2], im[1 : k + 2]
-    re[1 : k + 2], im[1 : k + 2] = (pr * wr + cr) - pi * wi, pr * wi + (pi * wr + ci)
+    pr, pi = re[: k + 1], im[: k + 1]
+    nr = pr * wr
+    nr += re[1 : k + 2]
+    t = pi * wi
+    nr -= t
+    np.multiply(pi, wr, out=t)
+    t += im[1 : k + 2]
+    ni = pr * wi
+    ni += t
+    re[1 : k + 2], im[1 : k + 2] = nr, ni
 
 
 def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> np.ndarray:
@@ -145,35 +155,50 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> np
 
     Bitwise equal to that reference. After k factors a code's partial
     product depends only on its low k bits, so the products of the first b
-    factors are built once for all 2^b low codes, by doubling (bit k clear
-    takes gamma_recip, set takes gamma); each block of codes starts from
-    that table and multiplies in the other p - b factors. Rows whose roots
+    factors are built once for all 2^b low codes, in place by doubling
+    (bit k clear takes gamma_recip, set takes gamma), beside the products
+    of their root moduli in pair order; each block of codes starts from
+    that table and multiplies in the other p - b factors. When b = p and
+    the codes, increasing as every caller passes them, are all 2^p codes,
+    the table is the block itself and nothing is copied. Rows whose roots
     are closed under conjugation get np.poly's real branch; no row can be
     unless some root's conjugate is a root of the pairing.
     """
     p, pairs = pairing.n_pairs, pairing.pairs
-    re, im = np.zeros((p + 1, 1)), np.zeros((p + 1, 1))
+    width = 1 << b
+    re, im, mag = np.zeros((p + 1, width)), np.zeros((p + 1, width)), np.ones(width)
     re[0] = 1.0
     for k in range(b):
-        w = -np.repeat(pairs[k, ::-1], 1 << k)
-        re, im = np.tile(re, 2), np.tile(im, 2)
-        _factor_in(re, im, k, w.real, w.imag)
+        h = 1 << k
+        re[: k + 1, h : 2 * h], im[: k + 1, h : 2 * h], mag[h : 2 * h] = re[: k + 1, :h], im[: k + 1, :h], mag[:h]
+        w = -np.repeat(pairs[k, ::-1], h)
+        _factor_in(re[:, : 2 * h], im[:, : 2 * h], k, w.real, w.imag)
+        mag[: 2 * h] *= np.abs(w)
     roots = set(pairs.ravel().tolist())
     closable = any(z.conjugate() in roots for z in roots)
     out = np.empty((codes.size, p + 1), np.complex128)
     for lo, hi in _blocks(codes.size):
         block = codes[lo:hi]
-        betas = _picked_roots(pairs, block)
-        low = block & ((1 << b) - 1)
-        br, bi = re[:, low], im[:, low]
-        wr, wi = -betas.real.T, -betas.imag.T
-        for k in range(b, p):
-            _factor_in(br, bi, k, wr[k], wi[k])
+        if b == p and block.size == width:  # the table holds every code, in order
+            br, bi, bm = re, im, mag
+        else:
+            low = block & (width - 1)
+            br, bi, bm = re[:, low], im[:, low], mag[low] if b else None
+        if b < p:
+            high = _picked_roots(pairs[b:], block >> b)  # the roots of pairs b..p-1
+            wr, wi = -high.real.T, -high.imag.T
+            for k in range(b, p):
+                _factor_in(br, bi, k, wr[k - b], wi[k - b])
+            mw = np.abs(high)
+            if b:
+                mw[:, 0] *= bm  # np.prod then multiplies bm by the moduli in pair order
+            bm = np.prod(mw, axis=1)
         if closable:
+            betas = high if b == 0 else _picked_roots(pairs, block)
             bi[:, np.all(np.sort(betas, axis=1) == np.sort(betas.conj(), axis=1), axis=1)] = 0.0
         rows = out[lo:hi]
         rows.real, rows.imag = br.T, bi.T
-        gain = np.exp(1j * alpha) * (np.sqrt(abs(pairing.scale)) / np.sqrt(np.prod(np.abs(betas), axis=1)))
+        gain = np.exp(1j * alpha) * (np.sqrt(abs(pairing.scale)) / np.sqrt(bm))
         np.multiply(gain[:, None], rows, out=rows)
     return out
 

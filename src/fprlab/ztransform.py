@@ -11,6 +11,7 @@ of the pipeline: autocorrelation in, ZeroPairing out.
 from __future__ import annotations
 
 import cmath
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,20 +230,29 @@ def spectrum_from_pairing(pairing: ZeroPairing, omegas) -> np.ndarray:
     conj(r(N-1)) * e^(-i omega (N-1)) * prod (e^(i omega) - gamma)(e^(i omega) - gamma_recip)
     is real for a valid pairing; the real part is returned with tiny
     negative dust clamped to zero. OverflowBeyondPrecision when a partial
-    product overflows; underflow is harmless here and passes.
+    product overflows; underflow is harmless here and passes. On the unit
+    circle every partial product is at most B = |r(N-1)| prod (1 + |gamma|)(1 + |gamma_recip|),
+    so floating-point errors are only trapped when B, with each modulus
+    bounded by |re| + |im|, passes 1e300.
     """
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
     z = np.exp(1j * om)
-    acc = np.full(om.shape, np.conj(complex(pairing.scale)), dtype=np.complex128)
+    scale = complex(pairing.scale)
+    acc = np.full(om.shape, np.conj(scale), dtype=np.complex128)
+    pairs = pairing.pairs.tolist()
+    bound = abs(scale.real) + abs(scale.imag)
+    for g, h in pairs:
+        bound *= (1.0 + abs(g.real) + abs(g.imag)) * (1.0 + abs(h.real) + abs(h.imag))
+    trap = np.errstate(over="raise", invalid="raise", divide="raise") if bound > 1e300 else contextlib.nullcontext()
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for g, h in pairing.pairs.tolist():
+        with trap:
+            for g, h in pairs:
                 acc *= z - g
                 acc *= z - h
             acc *= z ** (-pairing.n_pairs)
+            scale_mag = max(1.0, float(np.max(np.abs(acc), initial=1.0)))
     except FloatingPointError as exc:
         raise OverflowBeyondPrecision(f"the spectrum of the pairing leaves double range ({exc})") from None
-    scale_mag = max(1.0, float(np.max(np.abs(acc), initial=1.0)))
     if float(np.max(np.abs(acc.imag), initial=0.0)) > 1e-6 * scale_mag:
         raise UnpairableRoots("pairing does not define a real spectrum")
     vals = acc.real

@@ -206,9 +206,7 @@ def test_solve_er_writes_out_file(tmp_path, capsys):
 
 
 def test_solve_requires_anchor_on_pairing(tmp_path, capsys):
-    doc = dict(PAIRING_3)
-    del doc["anchor"]
-    path = write(tmp_path, "pairing.json", doc)
+    path = write(tmp_path, "pairing.json", {k: v for k, v in PAIRING_3.items() if k != "anchor"})
     assert run(capsys, ["solve", path])[0] == 2
 
 
@@ -216,12 +214,7 @@ def test_solve_past_enumeration_budget_reports_no_ground_truth(tmp_path, capsys)
     # 25 real pairs: ER runs, and labeling ground truth would need the
     # anchored scan, which is past the 24-pair budget
     gammas = [-(2.0 + 0.1 * k) for k in range(25)]
-    doc = {
-        "kind": "pairing",
-        "scale": 1.0,
-        "pairs": [[g, 1.0 / g] for g in gammas],
-        "anchor": 1.0,
-    }
+    doc = {"kind": "pairing", "scale": 1.0, "pairs": [[g, 1.0 / g] for g in gammas], "anchor": 1.0}
     path = write(tmp_path, "wide.json", doc)
     code, out, err = run(capsys, ["solve", path, "--solver", "er", "--iters", "20"])
     assert code == 0, err
@@ -240,9 +233,7 @@ def test_solve_unknown_solver(tmp_path, capsys):
 
 def test_solve_diverged_step_reports_error(tmp_path, capsys):
     path = write(tmp_path, "sig3.json", SIGNAL_3)
-    code, _, err = run(
-        capsys, ["solve", path, "--solver", "wf", "--step-size", "10.0", "--iters", "50"]
-    )
+    code, _, err = run(capsys, ["solve", path, "--solver", "wf", "--step-size", "10.0", "--iters", "50"])
     assert code == 2
     assert "loss" in err
 
@@ -292,15 +283,18 @@ def test_decide_duplicate_instance(tmp_path, capsys):
     assert doc["removed_pairs"] == [[1, 2]]
 
 
-def test_bench_csv_deterministic(tmp_path, capsys):
-    args = ["bench", "--sizes", "3", "--trials", "2", "--iters", "30", "--solvers", "oracle,er"]
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
+def _bench_twice(tmp_path, capsys, args):
+    """The CSV lines of `fprlab bench args`, asserted byte-identical over two runs."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["bench", *args, "--out", str(a)]) == 0
+    assert main(["bench", *args, "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
-    lines = a.read_text().splitlines()
+    return a.read_text().splitlines()
+
+
+def test_bench_csv_deterministic(tmp_path, capsys):
+    lines = _bench_twice(tmp_path, capsys, ["--sizes", "3", "--trials", "2", "--iters", "30", "--solvers", "oracle,er"])
     assert lines[0] == "instance_id,solver,iterations,final_loss,recovered"
     assert len(lines) == 5
     ids = [ln.split(",")[0] for ln in lines[1:]]
@@ -310,17 +304,8 @@ def test_bench_csv_deterministic(tmp_path, capsys):
 
 
 def test_bench_random_suite(tmp_path, capsys):
-    args = [
-        "bench", "--sizes", "3", "--trials", "2", "--iters", "30",
-        "--solvers", "oracle,hio", "--suite", "random",
-    ]
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-    lines = a.read_text().splitlines()
+    args = ["--sizes", "3", "--trials", "2", "--iters", "30", "--solvers", "oracle,hio", "--suite", "random"]
+    lines = _bench_twice(tmp_path, capsys, args)
     assert len(lines) == 5
     oracle_rows = [ln for ln in lines[1:] if ",oracle," in ln]
     assert len(oracle_rows) == 2
@@ -328,10 +313,7 @@ def test_bench_random_suite(tmp_path, capsys):
 
 
 def test_bench_summary_reports_failed_runs(capsys):
-    code, out, err = run(capsys, [
-        "bench", "--suite", "random", "--sizes", "8", "--trials", "2",
-        "--solvers", "er,hio,wf",
-    ])
+    code, out, err = run(capsys, ["bench", "--suite", "random", "--sizes", "8", "--trials", "2", "--solvers", "er,hio,wf"])
     assert code == 0
     failed_rows = [ln for ln in out.splitlines() if ln.endswith(",0,nan,false")]
     assert len(failed_rows) == 1 and ",wf," in failed_rows[0]

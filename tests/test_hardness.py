@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from fprlab.errors import (
     OverflowBeyondPrecision,
     SolverFailure,
 )
+from fprlab.generate import all_pp_instances, random_solvable_pp
 from fprlab.hardness import (
     HardInstance,
     PPAnswer,
@@ -317,8 +319,6 @@ def _witness_identity_holds(pp, decision):
 
 
 def test_decide_agrees_with_brute_force_on_random_solvable():
-    from fprlab.generate import random_solvable_pp
-
     rng = np.random.default_rng(42)
     for trial in range(25):
         pp = random_solvable_pp(3 + trial % 3, rng, unique_witness=False)
@@ -329,8 +329,6 @@ def test_decide_agrees_with_brute_force_on_random_solvable():
 
 
 def test_decide_mini_sweep_agreement():
-    from fprlab.generate import all_pp_instances
-
     n_checked = 0
     for pp in all_pp_instances(3, 2, 4):
         want = brute_force_pp(pp).answer
@@ -346,10 +344,6 @@ FROZEN_SWEEP_SHA256 = "4df84c505002aecb3a6eb8f241ccc24e9400270b661c31b6ce59389a0
 
 
 def test_decide_sweep_frozen():
-    import hashlib
-
-    from fprlab.generate import all_pp_instances
-
     lines = []
     for n in (3, 4, 5):
         for pp in all_pp_instances(n, 2, 6):

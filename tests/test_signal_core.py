@@ -4,6 +4,7 @@ from conftest import entries_lists
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fprlab.ambiguity import SolutionSet, anchored_solutions, enumerate_solutions
 from fprlab.errors import (
     ImaginaryResidueExceeded,
     InsufficientSamples,
@@ -20,6 +21,8 @@ from fprlab.signal_core import (
     spectrum_from_autocorr,
     uniform_grid,
 )
+from fprlab.solvers import PRInstance, SolverConfig, error_reduction_solve, oracle_solve
+from fprlab.ztransform import build_S_poly, factor
 
 
 def autocorr_by_loops(e):
@@ -185,10 +188,6 @@ def test_no_held_array_can_be_made_writable():
     """Every array a value type holds, whether built alone, cut from a
     checked block or read from a solution set, refuses both item
     assignment and setflags(write=True)."""
-    from fprlab.ambiguity import SolutionSet, anchored_solutions, enumerate_solutions
-    from fprlab.solvers import PRInstance, SolverConfig, error_reduction_solve, oracle_solve
-    from fprlab.ztransform import build_S_poly, factor
-
     x = ComplexSignal(np.array([9.0, 45.0, 54.0]))
     r = autocorrelation(x)
     inst = PRInstance.from_signal(x)

@@ -17,6 +17,7 @@ from fprlab.solvers import (
     IterateTrace,
     PRInstance,
     SolverConfig,
+    _wf_passes,
     amplitude_loss,
     error_reduction_solve,
     hio_solve,
@@ -24,6 +25,7 @@ from fprlab.solvers import (
     oracle_solve,
     reduction_iteration_budget,
     wirtinger_flow_solve,
+    wirtinger_gradient,
 )
 
 
@@ -209,8 +211,6 @@ def test_losses_reported_in_original_units():
 
 
 def test_wirtinger_gradient_matches_finite_differences():
-    from fprlab.solvers import wirtinger_gradient
-
     x = random_full_support(3, 8)
     s = fourier_intensity(random_full_support(3, 9), uniform_grid(9))
     g = wirtinger_gradient(x, s)
@@ -223,10 +223,7 @@ def test_wirtinger_gradient_matches_finite_differences():
             em = e.copy()
             ep[k] += h * unit
             em[k] -= h * unit
-            d = (
-                intensity_loss(ComplexSignal(ep), s)
-                - intensity_loss(ComplexSignal(em), s)
-            ) / (2 * h)
+            d = (intensity_loss(ComplexSignal(ep), s) - intensity_loss(ComplexSignal(em), s)) / (2 * h)
             fd[k] += d * (1.0 if part == 0 else 1.0j)
     assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
@@ -235,8 +232,6 @@ def test_wf_pass_applies_the_dense_gradient():
     """Wirtinger flow steps with its own FFT gradient, 4 m ifft(diff * zh)[:n];
     on a uniform grid one pass moves z to z - step * wirtinger_gradient(z, s)
     on every entry but the anchor, which is reset after the step."""
-    from fprlab.solvers import _wf_passes, wirtinger_gradient
-
     n, m = 5, 20
     z0 = random_full_support(n, 21).entries
     s = fourier_intensity(random_full_support(n, 22), uniform_grid(m))
