@@ -271,7 +271,7 @@ def anchor_threshold(pairing: ZeroPairing, x0: complex, tol: float) -> float:
     return checked_tol(tol, "anchor tol") * abs(complex(pairing.scale)) / _anchor_power(x0)
 
 
-def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray:
+def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float, *, budget: bool = False) -> np.ndarray:
     """Codes whose anchor residual is within anchor_threshold, increasing.
 
     Bitwise np.flatnonzero(reference.anchor_residuals(pairing, x0) <= thr),
@@ -282,7 +282,9 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray
     in code order (doubling, bit k clear takes gamma_recip); each high code
     adds its own sum to it, one block of 2^b codes at a time. Only the
     codes in the window get _residuals' arithmetic, and those within thr
-    are kept.
+    are kept. With budget, the survivors are counted block by block, and
+    EnumerationBudgetExceeded is raised at the first block after which
+    they would pass the byte budget of enumerate_solutions.
 
     Rounding bound (u = 2^-53; a = the sum of |log|root|| over both roots
     of every pair, which bounds |log| of every partial product). A survivor
@@ -315,13 +317,19 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray
         lg, lo, hi = np.zeros_like(lg), -math.inf, math.inf
     b = min(p, RESIDUAL_BLOCK_BITS)
     low = _log_sums(lg[:b])
+    kept = 0
 
     def survivors(sums: np.ndarray, base: int) -> np.ndarray:
+        nonlocal kept
         codes = ((sums >= lo) & (sums <= hi)).nonzero()[0]
         if not codes.size:
             return codes
         codes += base
-        return codes[_residuals(pairing.pairs, codes, target) <= thr]
+        codes = codes[_residuals(pairing.pairs, codes, target) <= thr]
+        if budget:
+            kept += codes.size
+            _check_budget(pairing, kept)
+        return codes
 
     if p == b:
         return survivors(low, 0)
@@ -347,12 +355,11 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
     NoFeasibleSolution when nothing survives, which certifies the anchor is
     inconsistent with the pairing, and EnumerationBudgetExceeded, before
     expanding any, when the survivors would pass the byte budget of
-    enumerate_solutions.
+    enumerate_solutions: at the first block of the search that passes it.
     """
-    survivors = _survivor_codes(pairing, x0, tol)
+    survivors = _survivor_codes(pairing, x0, tol, budget=True)
     if not survivors.size:
         raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
-    _check_budget(pairing, survivors.size)
     return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0)), 0))
 
 

@@ -178,7 +178,11 @@ def _embedding(values, u_last: int, u_max: int) -> PRInstance:
 
     With N = len(values) + 1: anchor u_max^(N-1) and top lag
     anchor^2 * u_last. Refuses once u_max^(2N) exceeds 2^52, where double
-    precision would silently round the planted integers.
+    precision would silently round the planted integers. Below that the
+    pairing is real with positive scale and roots -u, -1/u for u >= 2,
+    so its spectrum can always be sampled: the instance samples its grid
+    on the first read of grid or normalization, which most decide rounds,
+    those the anchor leaves no survivor, never make.
     """
     n = len(values) + 1
     if u_max ** (2 * n) > 2 ** 52:
@@ -188,7 +192,7 @@ def _embedding(values, u_last: int, u_max: int) -> PRInstance:
     anchor = float(u_max ** (n - 1))
     pairs = tuple((-float(v), -1.0 / v) for v in values)
     pairing = ZeroPairing(anchor ** 2 * u_last, pairs, (False,) * len(pairs))
-    return PRInstance.from_pairing(pairing, anchor)
+    return PRInstance._lazy_from_pairing(pairing, anchor)
 
 
 def construct_hard_instance(pp: PPInstance) -> HardInstance:

@@ -1,8 +1,11 @@
 """Phase retrieval solvers over sampled intensity data.
 
 Instances carry a zero pairing, an anchor x(0), and intensity samples on
-a uniform grid (default four samples per signal entry). Three iterative
-schemes and one exact enumeration oracle share the instance type:
+a uniform grid (default four samples per signal entry). The public
+constructors sample the grid at once; a decide round's instance, built
+by hardness._embedding, samples it on first read, so a round whose
+anchor leaves no survivor never samples it. Three iterative schemes and
+one exact enumeration oracle share the instance type:
 
 - error reduction: alternating projection between the magnitude torus and
   the support-plus-anchor subspace; its amplitude loss never increases.
@@ -53,7 +56,14 @@ def grid_size(n: int, grid_mult: int = 4) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PRInstance:
-    """One retrieval problem: pairing, finite anchor x(0) != 0, intensity samples."""
+    """One retrieval problem: pairing, finite anchor x(0) != 0, intensity samples.
+
+    The public constructors sample the grid at once, so a pairing whose
+    spectrum cannot be sampled is refused when the instance is built. A
+    decide round's instance (_lazy_from_pairing) samples its grid on the
+    first read of grid or normalization, exactly as from_pairing would,
+    and keeps it.
+    """
 
     pairing: ZeroPairing
     anchor: complex
@@ -64,6 +74,14 @@ class PRInstance:
         if anchor == 0 or not cmath.isfinite(anchor):
             raise ValueError(f"anchor x(0) must be finite and nonzero, got {anchor}")
         object.__setattr__(self, "anchor", anchor)
+
+    def __getattr__(self, name):
+        # reached only for attributes not set, so for grid only before its first read
+        if name != "grid":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        grid = _pairing_samples(self.pairing, 4)
+        object.__setattr__(self, "grid", grid)
+        return grid
 
     @property
     def n(self) -> int:
@@ -76,16 +94,23 @@ class PRInstance:
         return math.sqrt(max(float(np.mean(self.grid.values)), np.finfo(float).tiny))
 
     @classmethod
-    def _sampled(cls, pairing: ZeroPairing, anchor: complex, n: int, grid_mult: int, intensity) -> "PRInstance":
-        """Sample intensity(omegas) on the uniform grid of grid_size(n, grid_mult) points."""
-        om = uniform_grid(grid_size(n, grid_mult))
-        return cls(pairing, anchor, SpectrumSamples(om, intensity(om)))
+    def _lazy_from_pairing(cls, pairing: ZeroPairing, anchor: complex) -> "PRInstance":
+        """from_pairing(pairing, anchor) with the grid sampled on first read.
+
+        Only for pairings on which spectrum_from_pairing cannot fail, such
+        as hardness._embedding's real (-u, -1/u) pairs: a failure would
+        surface at that read, not here.
+        """
+        inst = cls.__new__(cls)
+        object.__setattr__(inst, "pairing", pairing)
+        object.__setattr__(inst, "anchor", anchor)
+        inst.__post_init__()
+        return inst
 
     @classmethod
     def from_pairing(cls, pairing: ZeroPairing, anchor: complex, grid_mult: int = 4) -> "PRInstance":
         """Build the uniform sample grid (M = grid_mult * N, at least 2N-1) from a pairing."""
-        return cls._sampled(pairing, anchor, pairing.n_pairs + 1, grid_mult,
-                            lambda om: spectrum_from_pairing(pairing, om))
+        return cls(pairing, anchor, _pairing_samples(pairing, grid_mult))
 
     @classmethod
     def from_signal(cls, x: ComplexSignal, grid_mult: int = 4, pairing: ZeroPairing | None = None) -> "PRInstance":
@@ -94,8 +119,15 @@ class PRInstance:
         if pairing is None:
             pairing = factor(r)
         tol = 1e-9 * (float(np.sum(np.abs(r.entries))) + 1.0)
-        return cls._sampled(pairing, complex(x.entries[0]), x.n, grid_mult,
-                            lambda om: np.maximum(spectrum_from_autocorr(r, om, tol=tol).values, 0.0))
+        om = uniform_grid(grid_size(x.n, grid_mult))
+        samples = SpectrumSamples(om, np.maximum(spectrum_from_autocorr(r, om, tol=tol).values, 0.0))
+        return cls(pairing, complex(x.entries[0]), samples)
+
+
+def _pairing_samples(pairing: ZeroPairing, grid_mult: int) -> SpectrumSamples:
+    """The pairing's spectrum on the uniform grid of grid_size(N, grid_mult) points."""
+    om = uniform_grid(grid_size(pairing.n_pairs + 1, grid_mult))
+    return SpectrumSamples(om, spectrum_from_pairing(pairing, om))
 
 
 @dataclass(frozen=True)

@@ -513,6 +513,31 @@ def test_anchored_survivors_byte_budget(monkeypatch):
     assert anchored_solutions(pairing, 1.0).codes.tolist() == [planted]
 
 
+def test_anchored_survivors_refused_block_by_block(monkeypatch):
+    """An over-budget survivor set is refused at the first block of the
+    search that passes the byte budget: 14 pairs make four blocks of 4096
+    codes, tol=1e12 keeps every code, and room for 5000 selections is
+    passed in the second block. Without the budget all four are checked."""
+    us = 2.0 + 0.1 * np.arange(14)
+    pairing = ZeroPairing(1.0, tuple((-u, -1.0 / u) for u in us), (False,) * 14)
+    calls = 0
+    residuals = ambiguity._residuals
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return residuals(*args)
+
+    monkeypatch.setattr(ambiguity, "_residuals", counting)
+    monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 5000 * (16 * 15 + 8))
+    with pytest.raises(EnumerationBudgetExceeded, match="^8192 selections"):
+        anchored_solutions(pairing, 1.0, tol=1e12)
+    assert calls == 2
+    calls = 0
+    assert ambiguity._survivor_codes(pairing, 1.0, 1e12).size == 1 << 14
+    assert calls == 4
+
+
 def test_enumeration_bytes_per_selection():
     """Peak allocation of an enumeration stays under 3.25 times the 16 N + 8
     bytes per selection that the set keeps at 11 and 13 pairs, and under

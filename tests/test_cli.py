@@ -170,15 +170,19 @@ def test_solve_bounds_must_be_finite(tmp_path, capsys, option, name, rule, value
         ("enumerate", {"kind": "signal", "entries": [[5e-324, 0], [1, 0]]}, "the companion matrix"),
         ("solve", {"kind": "signal", "entries": [[5e-324, 0], [1, 0]]}, "the companion matrix"),
         ("solve", {"kind": "pairing", "scale": [1e308, 0], "anchor": [1, 0], "pairs": [[[-2, 0], [-0.5, 0]]]}, "the spectrum of the pairing"),
+        ("solve --solver oracle", {"kind": "pairing", "scale": [1e308, 0], "anchor": [1, 0], "pairs": [[[-2, 0], [-0.5, 0]]]}, "the spectrum of the pairing"),
     ],
-    ids=["far-roots", "tiny-lead-enumerate", "tiny-lead-solve", "huge-scale"],
+    ids=["far-roots", "tiny-lead-enumerate", "tiny-lead-solve", "huge-scale", "huge-scale-oracle"],
 )
 def test_out_of_double_range_is_a_typed_error(tmp_path, capsys, command, doc, message):
     """Roots 1e200 and 1e-200 take anchored partial products out of double
     range, x(0) = 5e-324 makes the companion matrix divide by 5e-324, and
     scale 1e308 overflows the sampled intensity: one typed error line each,
-    no numpy warning, no misjudged survivor."""
-    code, out, err = run(capsys, [command, write(tmp_path, "doc.json", doc)])
+    no numpy warning, no misjudged survivor. A pairing instance samples its
+    grid when it is built, so the oracle, which reads the grid only for a
+    survivor, is refused by the same error and not by NoFeasibleSolution."""
+    name, *options = command.split()
+    code, out, err = run(capsys, [name, write(tmp_path, "doc.json", doc), *options])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message} leaves double range (") and err.count("\n") == 1
 

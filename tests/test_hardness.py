@@ -29,7 +29,8 @@ from fprlab.hardness import (
     ground_truth_signal,
 )
 from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity
-from fprlab.solvers import IterateTrace, amplitude_loss, oracle_solve
+from fprlab import solvers
+from fprlab.solvers import IterateTrace, PRInstance, amplitude_loss, oracle_solve
 
 
 def test_instance_admission():
@@ -360,3 +361,39 @@ def test_decide_sweep_frozen():
     assert len(lines) == 3860
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == FROZEN_SWEEP_SHA256
+
+
+def test_sweep_rounds_sample_only_when_read(monkeypatch):
+    """A decide round samples its intensity only when a survivor's loss
+    reads it: over the N = 3..5 sweep's 4108 rounds, the spectrum is
+    sampled once per round with a survivor. Each round's grid, read later,
+    is bitwise the one that from_pairing samples at once, and is kept."""
+    sampled = solved = 0
+    spectrum = solvers.spectrum_from_pairing
+
+    def counting(pairing, omegas):
+        nonlocal sampled
+        sampled += 1
+        return spectrum(pairing, omegas)
+
+    rounds = []
+
+    def recording(inst, cfg=None):
+        nonlocal solved
+        rounds.append(inst)
+        trace = oracle_solve(inst, cfg)
+        solved += 1
+        return trace
+
+    monkeypatch.setattr(solvers, "spectrum_from_pairing", counting)
+    for n in (3, 4, 5):
+        for pp in all_pp_instances(n, 2, 6):
+            decide_pp(pp, recording)
+    assert (len(rounds), solved, sampled) == (4108, 658, 658)
+    for inst in rounds:
+        eager = PRInstance.from_pairing(inst.pairing, inst.anchor)
+        assert inst.grid.omegas.tobytes() == eager.grid.omegas.tobytes()
+        assert inst.grid.values.tobytes() == eager.grid.values.tobytes()
+        assert inst.normalization == eager.normalization
+        assert inst.grid is inst.grid
+    assert sampled == 2 * len(rounds)  # once per round, once per eager copy
