@@ -83,17 +83,19 @@ class _Solutions(Sequence):
         return choice, ComplexSignal.row_views(sols.rows[i : i + 1])[0]
 
 
-def _check_budget(pairing: ZeroPairing, selections: int = 0) -> int:
+def _check_budget(pairing: ZeroPairing, selections: int = 0, partial: bool = False) -> int:
     """The pair count p; EnumerationBudgetExceeded past ENUM_BUDGET_PAIRS
     pairs, or when the codes and rows of that many selections, 16 N + 8
-    bytes each, would pass ENUM_BUDGET_BYTES."""
+    bytes each, would pass ENUM_BUDGET_BYTES. partial marks selections as
+    a running count, a lower bound of the total, and the message says so."""
     p = pairing.n_pairs
     if p > ENUM_BUDGET_PAIRS:
         raise EnumerationBudgetExceeded(f"{p} pairs exceed the {ENUM_BUDGET_PAIRS}-pair budget")
     need = selections * (16 * (p + 1) + 8)
     if need > ENUM_BUDGET_BYTES:
         raise EnumerationBudgetExceeded(
-            f"{selections} selections need {need} bytes, over the {ENUM_BUDGET_BYTES}-byte budget"
+            f"{'at least ' if partial else ''}{selections} selections need {need} bytes,"
+            f" over the {ENUM_BUDGET_BYTES}-byte budget"
         )
     return p
 
@@ -271,7 +273,7 @@ def anchor_threshold(pairing: ZeroPairing, x0: complex, tol: float) -> float:
     return checked_tol(tol, "anchor tol") * abs(complex(pairing.scale)) / _anchor_power(x0)
 
 
-def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float, *, budget: bool = False) -> np.ndarray:
+def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray:
     """Codes whose anchor residual is within anchor_threshold, increasing.
 
     Bitwise np.flatnonzero(reference.anchor_residuals(pairing, x0) <= thr),
@@ -282,9 +284,10 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float, *, budget: bo
     in code order (doubling, bit k clear takes gamma_recip); each high code
     adds its own sum to it, one block of 2^b codes at a time. Only the
     codes in the window get _residuals' arithmetic, and those within thr
-    are kept. With budget, the survivors are counted block by block, and
+    are kept. The survivors are counted block by block, and
     EnumerationBudgetExceeded is raised at the first block after which
-    they would pass the byte budget of enumerate_solutions.
+    they would pass the byte budget of enumerate_solutions; before the
+    last block its message gives the count so far as a lower bound.
 
     Rounding bound (u = 2^-53; a = the sum of |log|root|| over both roots
     of every pair, which bounds |log| of every partial product). A survivor
@@ -326,9 +329,8 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float, *, budget: bo
             return codes
         codes += base
         codes = codes[_residuals(pairing.pairs, codes, target) <= thr]
-        if budget:
-            kept += codes.size
-            _check_budget(pairing, kept)
+        kept += codes.size
+        _check_budget(pairing, kept, partial=base + sums.size < 1 << p)
         return codes
 
     if p == b:
@@ -357,7 +359,7 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
     expanding any, when the survivors would pass the byte budget of
     enumerate_solutions: at the first block of the search that passes it.
     """
-    survivors = _survivor_codes(pairing, x0, tol, budget=True)
+    survivors = _survivor_codes(pairing, x0, tol)
     if not survivors.size:
         raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
     return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0)), 0))

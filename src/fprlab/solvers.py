@@ -48,8 +48,10 @@ from .signal_core import (
 from .ztransform import ZeroPairing, factor, spectrum_from_pairing
 from . import ambiguity
 
+_GRID_MULT = 4
 
-def grid_size(n: int, grid_mult: int = 4) -> int:
+
+def grid_size(n: int, grid_mult: int = _GRID_MULT) -> int:
     """Samples M = grid_mult * n, at least the 2n-1 that fix the autocorrelation."""
     return max(grid_mult * n, 2 * n - 1)
 
@@ -79,7 +81,7 @@ class PRInstance:
         # reached only for attributes not set, so for grid only before its first read
         if name != "grid":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        grid = _pairing_samples(self.pairing, 4)
+        grid = _pairing_samples(self.pairing, _GRID_MULT)
         object.__setattr__(self, "grid", grid)
         return grid
 
@@ -108,12 +110,12 @@ class PRInstance:
         return inst
 
     @classmethod
-    def from_pairing(cls, pairing: ZeroPairing, anchor: complex, grid_mult: int = 4) -> "PRInstance":
+    def from_pairing(cls, pairing: ZeroPairing, anchor: complex, grid_mult: int = _GRID_MULT) -> "PRInstance":
         """Build the uniform sample grid (M = grid_mult * N, at least 2N-1) from a pairing."""
         return cls(pairing, anchor, _pairing_samples(pairing, grid_mult))
 
     @classmethod
-    def from_signal(cls, x: ComplexSignal, grid_mult: int = 4, pairing: ZeroPairing | None = None) -> "PRInstance":
+    def from_signal(cls, x: ComplexSignal, grid_mult: int = _GRID_MULT, pairing: ZeroPairing | None = None) -> "PRInstance":
         """Instance whose ground truth is x; the spectrum is computed exactly from x."""
         r = autocorrelation(x)
         if pairing is None:

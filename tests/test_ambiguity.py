@@ -517,7 +517,8 @@ def test_anchored_survivors_refused_block_by_block(monkeypatch):
     """An over-budget survivor set is refused at the first block of the
     search that passes the byte budget: 14 pairs make four blocks of 4096
     codes, tol=1e12 keeps every code, and room for 5000 selections is
-    passed in the second block. Without the budget all four are checked."""
+    passed in the second block, so the message gives its count as a lower
+    bound. Under the default budget all four blocks run and keep every code."""
     us = 2.0 + 0.1 * np.arange(14)
     pairing = ZeroPairing(1.0, tuple((-u, -1.0 / u) for u in us), (False,) * 14)
     calls = 0
@@ -529,12 +530,13 @@ def test_anchored_survivors_refused_block_by_block(monkeypatch):
         return residuals(*args)
 
     monkeypatch.setattr(ambiguity, "_residuals", counting)
-    monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 5000 * (16 * 15 + 8))
-    with pytest.raises(EnumerationBudgetExceeded, match="^8192 selections"):
-        anchored_solutions(pairing, 1.0, tol=1e12)
+    with monkeypatch.context() as patch:
+        patch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 5000 * (16 * 15 + 8))
+        with pytest.raises(EnumerationBudgetExceeded, match="^at least 8192 selections"):
+            anchored_solutions(pairing, 1.0, tol=1e12)
     assert calls == 2
     calls = 0
-    assert ambiguity._survivor_codes(pairing, 1.0, 1e12).size == 1 << 14
+    assert ambiguity._survivor_codes(pairing, 1.0, 1e12).tolist() == list(range(1 << 14))
     assert calls == 4
 
 
