@@ -62,11 +62,15 @@ def _is_real(value) -> bool:
 
 def _complex_in(value, where: str) -> complex:
     if _is_real(value):
-        z = complex(value)
+        parts = (value, 0)
     elif isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
-        z = complex(value[0], value[1])
+        parts = value
     else:
         raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:  # JSON integers are unbounded; one past double range has no float
+        raise ParseError(f"{where}: expected a number within double range") from None
     if not cmath.isfinite(z):
         raise ParseError(f"{where}: expected a finite number, got {value!r}")
     return z
@@ -128,17 +132,10 @@ def parse_pairing(doc: dict) -> tuple:
         pairs.append(
             (_complex_in(item[0], f"pairs[{i}][0]"), _complex_in(item[1], f"pairs[{i}][1]"))
         )
-    flags = doc.get("unit_circle_flags")
-    if flags is None:
-        flags = [False] * len(pairs)
-    if not isinstance(flags, list) or len(flags) != len(pairs) or not all(
-        isinstance(f, bool) for f in flags
-    ):
-        raise ParseError("pairing: 'unit_circle_flags' must be a bool list matching 'pairs'")
     anchor = None
     if "anchor" in doc and doc["anchor"] is not None:
         anchor = _complex_in(doc["anchor"], "anchor")
-    return ZeroPairing(scale, tuple(pairs), tuple(flags)), anchor
+    return ZeroPairing(scale, tuple(pairs)), anchor
 
 
 def load_retrieval(path: str, command: str) -> tuple:

@@ -98,17 +98,32 @@ class HardInstance:
 
     pp: PPInstance
     pr: PRInstance
-    anchor_exact: int
-    scale_exact: int
+
+    @property
+    def anchor_exact(self) -> int:
+        return self.pp.u_max ** (self.pp.n - 1)
+
+    @property
+    def scale_exact(self) -> int:
+        return self.anchor_exact ** 2 * self.pp.u[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class DiscriminationResult:
-    """Verdict for one value plus the two measured root magnitudes."""
+    """The two measured root magnitudes of one value and the verdict
+    discriminate reads off them."""
 
-    verdict: Verdict
     mag_gamma: float
     mag_recip: float
+
+    @property
+    def verdict(self) -> Verdict:
+        a, b = self.mag_gamma, self.mag_recip
+        if max(a, b) <= BOTH_ROOTS_CAP:
+            return Verdict.BOTH_ROOTS
+        if b >= a + SELECT_MARGIN:
+            return Verdict.SELECT_GAMMA
+        return Verdict.SELECT_RECIP
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +135,10 @@ class ClauseCheck:
     mag_beta: float
     mag_recip: float
     margin: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,21 +196,27 @@ def _embedding(values, u_last: int, u_max: int) -> PRInstance:
 
     With N = len(values) + 1: anchor u_max^(N-1) and top lag
     anchor^2 * u_last. Refuses once u_max^(2N) exceeds 2^52, where double
-    precision would silently round the planted integers. Below that the
-    pairing is real with positive scale and roots -u, -1/u for u >= 2,
-    so its spectrum can always be sampled: the instance samples its grid
-    on the first read of grid or normalization, which most decide rounds,
-    those the anchor leaves no survivor, never make.
+    precision would silently round the planted integers, or where the top
+    lag has no double. Below that the pairing is real with positive scale
+    and roots -u, -1/u for u >= 2, so its spectrum can always be sampled:
+    the instance samples its grid on the first read of grid or
+    normalization, which most decide rounds, those the anchor leaves no
+    survivor, never make.
     """
     n = len(values) + 1
     if u_max ** (2 * n) > 2 ** 52:
         raise OverflowBeyondPrecision(
-            f"u_max^(2N) = {u_max ** (2 * n)} exceeds 2^52; exact mode only"
+            f"u_max^(2N) = {u_max}^{2 * n} exceeds 2^52; exact mode only"
         )
     anchor = float(u_max ** (n - 1))
+    try:
+        top = anchor ** 2 * u_last
+    except OverflowError:  # u_last has no double
+        top = math.inf
+    if top == math.inf:
+        raise OverflowBeyondPrecision(f"the top lag anchor^2 * u_N leaves double range (u_N has {u_last.bit_length()} bits)")
     pairs = tuple((-float(v), -1.0 / v) for v in values)
-    pairing = ZeroPairing(anchor ** 2 * u_last, pairs, (False,) * len(pairs))
-    return PRInstance._lazy_from_pairing(pairing, anchor)
+    return PRInstance._lazy_from_pairing(ZeroPairing(top, pairs), anchor)
 
 
 def construct_hard_instance(pp: PPInstance) -> HardInstance:
@@ -201,11 +225,9 @@ def construct_hard_instance(pp: PPInstance) -> HardInstance:
     anchor = u_max^(N-1) and top lag |anchor|^2 * u_N, zero pairs
     (-u_k, -1/u_k) for k = 1..N-1, built by _embedding and so refused
     with OverflowBeyondPrecision past u_max^(2N) > 2^52. The exact
-    integers are recorded next to the float instance.
+    integers are properties of the result.
     """
-    anchor_exact = pp.u_max ** (pp.n - 1)
-    pr = _embedding(pp.u[:-1], pp.u[-1], pp.u_max)
-    return HardInstance(pp, pr, anchor_exact, anchor_exact * anchor_exact * pp.u[-1])
+    return HardInstance(pp, _embedding(pp.u[:-1], pp.u[-1], pp.u_max))
 
 
 def _check_witness(pp: PPInstance, gamma_set) -> frozenset:
@@ -260,7 +282,7 @@ def discrimination_constant(u_max: int, n: int) -> float:
 def discriminate(xm: ComplexSignal, uk: int, u_max: int, n: int) -> DiscriminationResult:
     """Classify one value against a near-solution by root membership.
 
-    Measures a = |X_m(-u_k)| and b = |X_m(-1/u_k)|. Both below 1/4 means
+    Measures a = |X_m(-u_k)| and b = |X_m(-1/u_k)|. Both at most 1/4 means
     both roots are present (a duplicate value split across the sides);
     b >= a + 3/4 selects the gamma side; anything else selects the
     reciprocal side. The constant thresholds are valid whenever
@@ -272,13 +294,7 @@ def discriminate(xm: ComplexSignal, uk: int, u_max: int, n: int) -> Discriminati
         raise ValueError("thresholds require u_max^(-N) <= 1/4")
     a = abs(eval_ztransform(xm, -float(uk)))
     b = abs(eval_ztransform(xm, -1.0 / uk))
-    if max(a, b) <= BOTH_ROOTS_CAP:
-        verdict = Verdict.BOTH_ROOTS
-    elif b >= a + SELECT_MARGIN:
-        verdict = Verdict.SELECT_GAMMA
-    else:
-        verdict = Verdict.SELECT_RECIP
-    return DiscriminationResult(verdict, a, b)
+    return DiscriminationResult(a, b)
 
 
 def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -> LemmaBoundsReport:
@@ -320,7 +336,7 @@ def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -
             margin = cap - max(mag_beta, mag_recip)
         else:
             margin = mag_recip - mag_beta - c0
-        checks.append(ClauseCheck(k, double, mag_beta, mag_recip, float(margin), margin >= 0.0))
+        checks.append(ClauseCheck(k, double, mag_beta, mag_recip, float(margin)))
     return LemmaBoundsReport(c0, cap, tuple(checks))
 
 

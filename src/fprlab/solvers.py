@@ -12,7 +12,8 @@ one exact enumeration oracle share the instance type:
 - hybrid input-output: the classic feedback relaxation; not monotone.
 - Wirtinger flow: plain gradient descent on the squared intensity misfit.
 - oracle: search the selections whose root-product modulus can match
-  the anchor, check only those exactly, and expand the first survivor.
+  the anchor, check only those exactly, expand every survivor and
+  return the first.
 
 Iterative schemes run on a copy of the instance rescaled so r(0) = 1 and
 report iterates and losses in original units; every reported iterate has
@@ -115,13 +116,13 @@ class PRInstance:
         return cls(pairing, anchor, _pairing_samples(pairing, grid_mult))
 
     @classmethod
-    def from_signal(cls, x: ComplexSignal, grid_mult: int = _GRID_MULT, pairing: ZeroPairing | None = None) -> "PRInstance":
+    def from_signal(cls, x: ComplexSignal, pairing: ZeroPairing | None = None) -> "PRInstance":
         """Instance whose ground truth is x; the spectrum is computed exactly from x."""
         r = autocorrelation(x)
         if pairing is None:
             pairing = factor(r)
         tol = 1e-9 * (float(np.sum(np.abs(r.entries))) + 1.0)
-        om = uniform_grid(grid_size(x.n, grid_mult))
+        om = uniform_grid(grid_size(x.n))
         samples = SpectrumSamples(om, np.maximum(spectrum_from_autocorr(r, om, tol=tol).values, 0.0))
         return cls(pairing, complex(x.entries[0]), samples)
 
@@ -206,7 +207,7 @@ def wirtinger_gradient(z: ComplexSignal, s: SpectrumSamples) -> np.ndarray:
     return 4.0 * (rows.conj().T @ (diff * zh))
 
 
-def _normalized_setup(inst: PRInstance, cfg: SolverConfig, start):
+def _normalized_setup(inst: PRInstance, cfg: SolverConfig):
     # the FFT passes sample the grid 2*pi*j/m and nothing else
     check_uniform_grid(inst.grid, inst.n)
     n = inst.n
@@ -215,13 +216,8 @@ def _normalized_setup(inst: PRInstance, cfg: SolverConfig, start):
     r0 = norm ** 2
     target = np.sqrt(np.maximum(inst.grid.values, 0.0) / r0)
     anchor_n = inst.anchor / norm
-    if start is None:
-        rng = np.random.default_rng(cfg.seed)
-        z0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        if start.n != n:
-            raise ValueError("start length must match instance size")
-        z0 = start.entries / norm
+    rng = np.random.default_rng(cfg.seed)
+    z0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     field = np.zeros(m, dtype=np.complex128)
     field[:n] = z0
     field[0] = anchor_n
@@ -235,7 +231,7 @@ def _emit(inst: PRInstance, norm: float, rows: list) -> list:
     return ComplexSignal.from_rows(out)
 
 
-def _drive(passes, inst: PRInstance, cfg: SolverConfig | None, start) -> IterateTrace:
+def _drive(passes, inst: PRInstance, cfg: SolverConfig | None) -> IterateTrace:
     """Run one scheme's pass generator under the shared stop rule.
 
     passes(n, cfg, field, target, anchor_n, r0) yields one (normalized
@@ -244,7 +240,7 @@ def _drive(passes, inst: PRInstance, cfg: SolverConfig | None, start) -> Iterate
     computed.
     """
     cfg = cfg or SolverConfig()
-    norm, setup = _normalized_setup(inst, cfg, start)
+    norm, setup = _normalized_setup(inst, cfg)
     rows, losses = [], []
     for row, loss in islice(passes(inst.n, cfg, *setup), cfg.max_iters + 1):
         rows.append(row)
@@ -270,7 +266,7 @@ def _er_passes(n, cfg, field, target, anchor_n, r0):
         field[0] = anchor_n
 
 
-def error_reduction_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
+def error_reduction_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> IterateTrace:
     """Alternating projections; amplitude loss is non-increasing by construction.
 
     Each cycle replaces sampled magnitudes with sqrt(R) and then projects
@@ -278,7 +274,7 @@ def error_reduction_solve(inst: PRInstance, cfg: SolverConfig | None = None, sta
     metric projections in the padded coordinate space, which is what
     yields the monotone loss.
     """
-    return _drive(_er_passes, inst, cfg, start)
+    return _drive(_er_passes, inst, cfg)
 
 
 def _hio_passes(n, cfg, field, target, anchor_n, r0):
@@ -297,7 +293,7 @@ def _hio_passes(n, cfg, field, target, anchor_n, r0):
         field = nxt
 
 
-def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
+def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> IterateTrace:
     """Hybrid input-output with feedback parameter beta_hio.
 
     The driving field keeps the magnitude-projected output inside the
@@ -307,7 +303,7 @@ def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexS
     support-truncated outputs with the anchor imposed; no loss
     monotonicity is promised.
     """
-    return _drive(_hio_passes, inst, cfg, start)
+    return _drive(_hio_passes, inst, cfg)
 
 
 def _wf_passes(n, cfg, field, target, anchor_n, r0):
@@ -329,16 +325,16 @@ def _wf_passes(n, cfg, field, target, anchor_n, r0):
         z[0] = anchor_n
 
 
-def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
+def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> IterateTrace:
     """Fixed-step gradient descent on the intensity loss.
 
     Raises StepDiverged once the loss exceeds 1e12 times its initial
     value (or stops being finite).
     """
-    return _drive(_wf_passes, inst, cfg, start)
+    return _drive(_wf_passes, inst, cfg)
 
 
-def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: ComplexSignal | None = None) -> IterateTrace:
+def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> IterateTrace:
     """Exact solve by exhaustive search over root selections.
 
     ambiguity.anchored_solutions sums every selection's root log-moduli,
@@ -348,7 +344,7 @@ def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None, start: Compl
     single-iterate trace. NoFeasibleSolution propagates when the anchor
     rules every selection out; the enumeration budget applies.
     """
-    del cfg, start
+    del cfg
     out = ambiguity.anchored_solutions(inst.pairing, inst.anchor).rows[0].copy()
     out[0] = inst.anchor
     found = ComplexSignal(out)

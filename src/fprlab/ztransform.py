@@ -11,7 +11,6 @@ of the pipeline: autocorrelation in, ZeroPairing out.
 from __future__ import annotations
 
 import cmath
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,15 +73,14 @@ class ZeroPairing:
 
     pairs is a read-only (p, 2) complex128 array whose row k holds pair
     k's (gamma, gamma_recip); it is built from any nested sequence of
-    pairs, and every root and the scale must be finite. Flagged pairs sit
-    on the unit circle, where a root is its own conjugate reciprocal and
-    must occur with even multiplicity; such pairs are stored self-paired
-    with gamma_recip == gamma.
+    pairs, and every root and the scale must be finite. A self-pair,
+    gamma_recip == gamma, is a unit-circle root, which is its own
+    conjugate reciprocal and must occur with even multiplicity; it must
+    lie on the unit circle, and unit_circle_flags marks it.
     """
 
     scale: complex
     pairs: np.ndarray
-    unit_circle_flags: tuple
 
     def __post_init__(self):
         scale = complex(self.scale)
@@ -90,25 +88,27 @@ class ZeroPairing:
             raise ValueError(f"pairing scale must be finite, got {scale}")
         if scale == 0:
             raise DegenerateLeadingLag("pairing scale r(N-1) must be nonzero")
-        flags = tuple(bool(f) for f in self.unit_circle_flags)
         pairs = np.array(self.pairs, dtype=np.complex128)
         if not pairs.size:
             pairs.shape = (0, 2)
         pairs = frozen(pairs, "paired roots", 2)
-        if pairs.shape != (len(flags), 2):
-            raise ValueError("one (gamma, gamma_recip) pair per flag required")
-        for (g, h), f in zip(pairs.tolist(), flags):
+        if pairs.shape[1] != 2:
+            raise ValueError("each pair must be (gamma, gamma_recip)")
+        for g, h in pairs.tolist():
             if g == 0 or h == 0:
                 raise ValueError("paired roots must be nonzero")
-            tau = pair_tolerance(g)
-            if f:
-                if h != g or not _near_unit_circle(g):
-                    raise ValueError("flagged pair must be a self-paired unit-circle root")
-            elif abs(g * h.conjugate() - 1.0) > tau:
+            if h == g:
+                if not _near_unit_circle(g):
+                    raise ValueError(f"self-pair ({g}, {h}) must lie on the unit circle")
+            elif abs(g * h.conjugate() - 1.0) > pair_tolerance(g):
                 raise ValueError(f"pair ({g}, {h}) is not conjugate-reciprocal within tolerance")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "unit_circle_flags", flags)
+
+    @property
+    def unit_circle_flags(self) -> tuple:
+        """One bool per pair: True for a self-paired unit-circle root."""
+        return tuple((self.pairs[:, 0] == self.pairs[:, 1]).tolist())
 
     @property
     def n_pairs(self) -> int:
@@ -193,7 +193,7 @@ def pair_roots(roots, scale: complex) -> ZeroPairing:
     if complex(scale) == 0:
         raise DegenerateLeadingLag("pairing scale r(N-1) must be nonzero")
     pool = list(arr[np.lexsort((arr.imag, arr.real))])
-    pairs, flags = [], []
+    pairs = []
     while pool:
         g = pool.pop(0)
         resid = np.abs(g * np.conj(np.array(pool)) - 1.0)
@@ -212,11 +212,9 @@ def pair_roots(roots, scale: complex) -> ZeroPairing:
             mid = (g + h) / 2.0
             mid = mid / abs(mid)
             pairs.append((mid, mid))
-            flags.append(True)
         else:
             pairs.append((g, h) if abs(g) >= abs(h) else (h, g))
-            flags.append(False)
-    return ZeroPairing(complex(scale), tuple(pairs), tuple(flags))
+    return ZeroPairing(complex(scale), tuple(pairs))
 
 
 def factor(r: Autocorrelation) -> ZeroPairing:
@@ -230,23 +228,15 @@ def spectrum_from_pairing(pairing: ZeroPairing, omegas) -> np.ndarray:
     conj(r(N-1)) * e^(-i omega (N-1)) * prod (e^(i omega) - gamma)(e^(i omega) - gamma_recip)
     is real for a valid pairing; the real part is returned with tiny
     negative dust clamped to zero. OverflowBeyondPrecision when a partial
-    product overflows; underflow is harmless here and passes. On the unit
-    circle every partial product is at most B = |r(N-1)| prod (1 + |gamma|)(1 + |gamma_recip|),
-    so floating-point errors are only trapped when B, with each modulus
-    bounded by |re| + |im|, passes 1e300.
+    product overflows; underflow is harmless here and passes.
     """
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
     z = np.exp(1j * om)
     scale = complex(pairing.scale)
     acc = np.full(om.shape, np.conj(scale), dtype=np.complex128)
-    pairs = pairing.pairs.tolist()
-    bound = abs(scale.real) + abs(scale.imag)
-    for g, h in pairs:
-        bound *= (1.0 + abs(g.real) + abs(g.imag)) * (1.0 + abs(h.real) + abs(h.imag))
-    trap = np.errstate(over="raise", invalid="raise", divide="raise") if bound > 1e300 else contextlib.nullcontext()
     try:
-        with trap:
-            for g, h in pairs:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for g, h in pairing.pairs.tolist():
                 acc *= z - g
                 acc *= z - h
             acc *= z ** (-pairing.n_pairs)

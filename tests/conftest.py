@@ -50,17 +50,17 @@ def _closable():
     out = []
     for n in range(1, 5):
         for us in itertools.combinations_with_replacement(range(2, 7), n):
-            out.append(ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us), (False,) * n))
+            out.append(ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us)))
     for g in (1 + 2j, -0.5 + 1.5j, 3 - 1j, 0.25 - 0.75j):
         h = 1 / np.conj(g)
         pairs = ((g, h), (np.conj(g), np.conj(h)), (-2.0, -0.5))
-        out.append(ZeroPairing(3.0, pairs, (False,) * 3))
-        out.append(ZeroPairing(2.0 - 1.0j, pairs + ((g * 1j, h * 1j), (np.conj(g * 1j), np.conj(h * 1j))), (False,) * 5))
+        out.append(ZeroPairing(3.0, pairs))
+        out.append(ZeroPairing(2.0 - 1.0j, pairs + ((g * 1j, h * 1j), (np.conj(g * 1j), np.conj(h * 1j)))))
     us = 2.0 + 0.25 * np.arange(13)
-    out.append(ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us), (False,) * 13))
+    out.append(ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us)))
     gs = [(1.1 + 0.2 * k) * np.exp(1j * (0.3 + 0.4 * k)) for k in range(6)]
     partners = [pair for g in gs for pair in ((g, 1 / np.conj(g)), (np.conj(g), 1 / g))]
-    out.append(ZeroPairing(5.0, (*partners, (-2.0, -0.5)), (False,) * 13))
+    out.append(ZeroPairing(5.0, (*partners, (-2.0, -0.5))))
     return [(pairing, np.sqrt(abs(pairing.scale)) * np.exp(0.7j)) for pairing in out]
 
 
@@ -80,7 +80,7 @@ def corpus():
         for _ in range(24 if n <= 10 else 8 if n <= 13 else 2):
             x = random_signal(n, rng)
             try:
-                pairing = pairing_of_signal(x)[1] if n > 1 else ZeroPairing(autocorrelation(x).entries[0], (), ())
+                pairing = pairing_of_signal(x)[1] if n > 1 else ZeroPairing(autocorrelation(x).entries[0], ())
             except FprlabError:
                 continue
             generic += [(pairing, complex(x.entries[0])), (pairing, 1.5 * complex(x.entries[0]))]
@@ -89,7 +89,7 @@ def corpus():
         gammas = 10.0 ** rng.uniform(8, 18, 8) * np.exp(1j * rng.uniform(0, np.pi, 8))
         planted.append(int(rng.integers(1 << 8)))
         picked = np.where([planted[-1] >> k & 1 for k in range(8)], gammas, 1 / np.conj(gammas))
-        wide.append((ZeroPairing(complex(np.prod(-picked)), tuple(zip(gammas, 1 / np.conj(gammas))), (False,) * 8), 1.0))
+        wide.append((ZeroPairing(complex(np.prod(-picked)), tuple(zip(gammas, 1 / np.conj(gammas)))), 1.0))
     sweep = [construct_hard_instance(pp).pr for n in (3, 4, 5) for pp in all_pp_instances(n, 2, 6)]
     sixteen = construct_hard_instance(PPInstance((3, 2, 3, 2, 3, 2, 3, 2, 36))).pr
     return SimpleNamespace(
@@ -98,10 +98,10 @@ def corpus():
         sixteen=(sixteen.pairing, sixteen.anchor),  # a hard instance with 16 exact survivors
         closable=_closable(),  # roots closed under conjugation, at anchor sqrt|r(N-1)| e^0.7i
         flagged=(pairing_of_signal(ComplexSignal(np.array([1.0, -1.0])))[1], 1.0),  # a self-paired unit-circle root
-        empty=[(ZeroPairing(scale, (), ()), 2.0 + 1.0j) for scale in (5.0, -4.0 + 3.0j)],
+        empty=[(ZeroPairing(scale, ()), 2.0 + 1.0j) for scale in (5.0, -4.0 + 3.0j)],
         # flipping both pairs scales the root product by c^2: a runner-up code at 3, 7 and 12x the threshold
-        near=[(ZeroPairing(1 / c, ((-2, -0.5), (-2 * c, -0.5 / c)), (False,) * 2), 1.0) for c in np.sqrt(1 + 1e-6 * np.array([3, 7, 12]))],
+        near=[(ZeroPairing(1 / c, ((-2, -0.5), (-2 * c, -0.5 / c))), 1.0) for c in np.sqrt(1 + 1e-6 * np.array([3, 7, 12]))],
         wide=wide,  # |gamma| from 1e8 to 1e18, planted at the codes in planted
         planted=planted,
-        far=(ZeroPairing(1.0, ((1e200, 1e-200),) * 4, (False,) * 4), 1.0),  # partial products leave double range
+        far=(ZeroPairing(1.0, ((1e200, 1e-200),) * 4), 1.0),  # partial products leave double range
     )

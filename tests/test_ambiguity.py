@@ -84,7 +84,7 @@ def test_enumerated_solutions_share_intensity(pair):
 def test_single_entry_signal_roundtrip():
     x = ComplexSignal(np.array([3.0j]))
     r = autocorrelation(x)
-    pairing = ZeroPairing(complex(r.entries[0]), (), ())
+    pairing = ZeroPairing(complex(r.entries[0]), ())
     sols = enumerate_solutions(pairing)
     assert len(sols.solutions) == 1
     kept = filter_by_anchor(sols, 3.0j)
@@ -201,7 +201,7 @@ def test_filter_keeps_all_matching_selections(corpus):
 
 
 def test_enumeration_budget():
-    pairing = ZeroPairing(1.0, ((2.0, 0.5),) * 25, (False,) * 25)
+    pairing = ZeroPairing(1.0, ((2.0, 0.5),) * 25)
     with pytest.raises(EnumerationBudgetExceeded):
         enumerate_solutions(pairing)
     with pytest.raises(EnumerationBudgetExceeded):
@@ -489,7 +489,7 @@ def test_enumeration_byte_budget():
     check runs here; the anchored search applies the same rule to its
     survivors."""
     us = 2.0 + 0.1 * np.arange(24)
-    pairing = ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us), (False,) * 24)
+    pairing = ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us))
     need = (1 << 24) * (16 * 25 + 8)
     assert ambiguity.ENUM_BUDGET_BYTES < need
     with pytest.raises(EnumerationBudgetExceeded, match=f"{1 << 24} selections need {need} bytes"):
@@ -504,7 +504,7 @@ def test_anchored_survivors_byte_budget(monkeypatch):
     us = 2.0 + 0.1 * np.arange(10)
     planted = 0b0110100101
     betas = np.where([planted >> k & 1 for k in range(10)], -us, -1.0 / us)
-    pairing = ZeroPairing(float(np.prod(-betas)), tuple((-u, -1.0 / u) for u in us), (False,) * 10)
+    pairing = ZeroPairing(float(np.prod(-betas)), tuple((-u, -1.0 / u) for u in us))
     monkeypatch.setattr(ambiguity, "ENUM_BUDGET_BYTES", 1000 * (16 * 11 + 8))
     with pytest.raises(EnumerationBudgetExceeded):
         enumerate_solutions(pairing)
@@ -520,7 +520,7 @@ def test_anchored_survivors_refused_block_by_block(monkeypatch):
     passed in the second block, so the message gives its count as a lower
     bound. Under the default budget all four blocks run and keep every code."""
     us = 2.0 + 0.1 * np.arange(14)
-    pairing = ZeroPairing(1.0, tuple((-u, -1.0 / u) for u in us), (False,) * 14)
+    pairing = ZeroPairing(1.0, tuple((-u, -1.0 / u) for u in us))
     calls = 0
     residuals = ambiguity._residuals
 

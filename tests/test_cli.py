@@ -12,7 +12,6 @@ PAIRING_3 = {
     "kind": "pairing",
     "scale": 486.0,
     "pairs": [[[-2.0, 0.0], [-0.5, 0.0]], [[-3.0, 0.0], [-1.0 / 3.0, 0.0]]],
-    "unit_circle_flags": [False, False],
     "anchor": 9.0,
 }
 
@@ -96,6 +95,9 @@ def test_booleans_are_not_numbers(tmp_path, capsys):
         ("solve", '{"kind":"pairing","scale":[NaN,0],"pairs":[[[-2,0],[-0.5,0]]],"anchor":[1,0]}', "scale"),
         ("solve", '{"kind":"pairing","scale":[1,0],"pairs":[[[-2,0],[-0.5,0]]],"anchor":-Infinity}', "anchor"),
         ("autocorr", '{"kind":"signal","entries":[[1,0],[2,NaN]]}', "entries[1]"),
+        # JSON integers are unbounded: 10^400 has no double
+        pytest.param("autocorr", json.dumps({"kind": "signal", "entries": [10**400, 1]}), "entries[0]", id="autocorr-int-entry"),
+        pytest.param("solve", json.dumps(dict(PAIRING_3, anchor=10**400)), "anchor", id="solve-int-anchor"),
     ],
 )
 def test_non_finite_numbers_are_parse_errors(tmp_path, capsys, command, text, field):
@@ -140,6 +142,9 @@ def test_enumerate_anchored_pairing(tmp_path, capsys):
     path = write(tmp_path, "pairing.json", PAIRING_3)
     code, out, _ = run(capsys, ["enumerate", path])
     assert code == 0
+    # self-pairs are read from the roots: a unit_circle_flags key is ignored
+    flagged = write(tmp_path, "flagged.json", dict(PAIRING_3, unit_circle_flags=[True, "no"]))
+    assert run(capsys, ["enumerate", flagged]) == (0, out, "")
     doc = json.loads(out)
     assert doc["anchored"] is True
     assert doc["count"] == 1
@@ -171,13 +176,15 @@ def test_solve_bounds_must_be_finite(tmp_path, capsys, option, name, rule, value
         ("solve", {"kind": "signal", "entries": [[5e-324, 0], [1, 0]]}, "the companion matrix"),
         ("solve", {"kind": "pairing", "scale": [1e308, 0], "anchor": [1, 0], "pairs": [[[-2, 0], [-0.5, 0]]]}, "the spectrum of the pairing"),
         ("solve --solver oracle", {"kind": "pairing", "scale": [1e308, 0], "anchor": [1, 0], "pairs": [[[-2, 0], [-0.5, 0]]]}, "the spectrum of the pairing"),
+        ("decide", {"kind": "pp", "u": [2, 3, 10**400]}, "the top lag anchor^2 * u_N"),
     ],
-    ids=["far-roots", "tiny-lead-enumerate", "tiny-lead-solve", "huge-scale", "huge-scale-oracle"],
+    ids=["far-roots", "tiny-lead-enumerate", "tiny-lead-solve", "huge-scale", "huge-scale-oracle", "huge-top-lag"],
 )
 def test_out_of_double_range_is_a_typed_error(tmp_path, capsys, command, doc, message):
     """Roots 1e200 and 1e-200 take anchored partial products out of double
     range, x(0) = 5e-324 makes the companion matrix divide by 5e-324, and
-    scale 1e308 overflows the sampled intensity: one typed error line each,
+    scale 1e308 overflows the sampled intensity, and u_N = 10^400 leaves the
+    embedding's top lag without a double: one typed error line each,
     no numpy warning, no misjudged survivor. A pairing instance samples its
     grid when it is built, so the oracle, which reads the grid only for a
     survivor, is refused by the same error and not by NoFeasibleSolution."""

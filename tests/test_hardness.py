@@ -13,6 +13,7 @@ from fprlab.errors import (
 )
 from fprlab.generate import all_pp_instances, random_solvable_pp
 from fprlab.hardness import (
+    DiscriminationResult,
     HardInstance,
     PPAnswer,
     PPDecision,
@@ -112,13 +113,19 @@ def test_overflow_guard():
     # integers rounded, the readout can miss the solution
     with pytest.raises(OverflowBeyondPrecision):
         decide_pp(PPInstance((166, 362, 166, 362)), oracle_solve)
+    # 3^6 is small, but the top lag 9^2 * 10^400 has no double
+    with pytest.raises(OverflowBeyondPrecision, match="top lag"):
+        construct_hard_instance(PPInstance((2, 3, 10**400)))
+    # the refusal names u_max^(2N) without writing out its 4800 digits
+    with pytest.raises(OverflowBeyondPrecision, match=r"u_max\^\(2N\) = 1000.*0\^6 exceeds 2\^52"):
+        construct_hard_instance(PPInstance((2, 10**800, 3)))
 
 
 def _recording_solver(seen, entries):
     """A solver whose only iterate is entries; it appends each instance it is given to seen."""
     sig = ComplexSignal(np.asarray(entries, dtype=np.complex128))
 
-    def solver(inst, cfg=None, start=None):
+    def solver(inst, cfg=None):
         seen.append(inst)
         return IterateTrace((sig,), np.array([0.0]), True)
 
@@ -202,6 +209,17 @@ def test_discriminate_recip_and_both_roots():
     res = discriminate(y, 2, 3, 2)
     assert res.verdict is Verdict.SELECT_RECIP
     assert res.mag_gamma > 0.25
+
+
+def test_verdict_at_the_thresholds():
+    """Both roots while max(a, b) <= 1/4; gamma side from b = a + 3/4 on."""
+    assert DiscriminationResult(0.25, 0.25).verdict is Verdict.BOTH_ROOTS
+    assert DiscriminationResult(0.0, 0.25).verdict is Verdict.BOTH_ROOTS
+    assert DiscriminationResult(np.nextafter(0.25, 1.0), 0.0).verdict is Verdict.SELECT_RECIP
+    assert DiscriminationResult(0.25, 1.0).verdict is Verdict.SELECT_GAMMA
+    assert DiscriminationResult(0.25, np.nextafter(1.0, 0.0)).verdict is Verdict.SELECT_RECIP
+    assert DiscriminationResult(0.0, 0.75).verdict is Verdict.SELECT_GAMMA
+    assert DiscriminationResult(0.0, np.nextafter(0.75, 0.0)).verdict is Verdict.SELECT_RECIP
 
 
 def test_discriminate_guards():
@@ -299,7 +317,7 @@ def test_decide_both_roots_without_duplicate_certifies_existence():
 
 
 def test_decide_rejects_empty_trace():
-    def broken(inst, cfg=None, start=None):
+    def broken(inst, cfg=None):
         return IterateTrace((), np.array([]), False)
 
     with pytest.raises(SolverFailure):

@@ -17,6 +17,9 @@ from fprlab.solvers import (
     IterateTrace,
     PRInstance,
     SolverConfig,
+    _drive,
+    _er_passes,
+    _hio_passes,
     _wf_passes,
     amplitude_loss,
     error_reduction_solve,
@@ -111,10 +114,22 @@ def test_error_reduction_monotone(seed):
     assert np.all(np.diff(tr.losses) <= slack)
 
 
+def _from_truth(passes, x):
+    """passes started from the field of x instead of the seeded draw."""
+
+    def run(n, cfg, field, target, anchor_n, r0):
+        field = np.zeros_like(field)
+        field[:n] = x.entries / np.sqrt(r0)
+        field[0] = anchor_n
+        return passes(n, cfg, field, target, anchor_n, r0)
+
+    return run
+
+
 def test_error_reduction_fixed_point():
     x = random_full_support(5, 3)
     inst = PRInstance.from_signal(x)
-    tr = error_reduction_solve(inst, SolverConfig(max_iters=50), start=x)
+    tr = _drive(_from_truth(_er_passes, x), inst, SolverConfig(max_iters=50))
     assert tr.converged
     assert len(tr.iterates) == 1
     assert trivial_orbit_distance(tr.final, x) <= 1e-9
@@ -123,7 +138,7 @@ def test_error_reduction_fixed_point():
 def test_hio_fixed_point():
     x = random_full_support(4, 4)
     inst = PRInstance.from_signal(x)
-    tr = hio_solve(inst, SolverConfig(max_iters=50), start=x)
+    tr = _drive(_from_truth(_hio_passes, x), inst, SolverConfig(max_iters=50))
     assert tr.converged
     assert len(tr.iterates) == 1
 

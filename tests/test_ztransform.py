@@ -199,13 +199,27 @@ def test_pair_roots_validation():
 
 def test_zero_pairing_validation():
     with pytest.raises(DegenerateLeadingLag):
-        ZeroPairing(0.0, ((2.0, 0.5),), (False,))
+        ZeroPairing(0.0, ((2.0, 0.5),))
     with pytest.raises(ValueError):
-        ZeroPairing(1.0, ((2.0, 0.7),), (False,))
-    with pytest.raises(ValueError):
-        ZeroPairing(1.0, ((2.0, 0.5),), (True,))
-    with pytest.raises(ValueError):
-        ZeroPairing(1.0, ((2.0, 0.5),), (False, False))
+        ZeroPairing(1.0, ((2.0, 0.7),))
+    # a self-pair is a unit-circle root: flagged on the circle, refused off it
+    g = np.exp(0.3j)
+    assert ZeroPairing(1.0, ((g, g), (2.0, 0.5))).unit_circle_flags == (True, False)
+    with pytest.raises(ValueError, match="unit circle"):
+        ZeroPairing(1.0, ((2.0, 0.5), (1.5, 1.5)))
+
+
+def test_unit_circle_flags_mark_the_self_pairs(corpus):
+    """Pair k is flagged iff gamma_recip == gamma, on every corpus pairing
+    and on pair_roots outputs with unit-circle roots."""
+    pairings = [p for kind in (corpus.generic, corpus.sweep, corpus.closable, corpus.empty, corpus.near, corpus.wide) for p, _ in kind]
+    pairings += [corpus.sixteen[0], corpus.flagged[0], corpus.far[0]]
+    for entries in ([1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0], [2.0, 1.0j, 1.0], [1.0, -4.0, 4.0]):
+        pairings.append(pairing_of_signal(ComplexSignal(np.array(entries)))[1])
+    for pairing in pairings:
+        assert pairing.unit_circle_flags == tuple(bool(g == h) for g, h in pairing.pairs)
+    want = [(True, True), (True, True), (True,), (True, False), (False, False)]
+    assert [p.unit_circle_flags for p in pairings[-5:]] == want
 
 
 @pytest.mark.parametrize(
@@ -220,29 +234,29 @@ def test_zero_pairing_validation():
 )
 def test_zero_pairing_rejects_non_finite_values(scale, pairs):
     with pytest.raises(ValueError, match="finite"):
-        ZeroPairing(scale, pairs, (False,) * len(pairs))
+        ZeroPairing(scale, pairs)
 
 
 def test_zero_pairing_holds_one_frozen_root_array():
     """Row k of pairs is pair k's (gamma, gamma_recip), read-only for every
     holder, from any nested sequence of pairs; the empty pairing is (0, 2)."""
     nested = [[-2.0, -0.5], np.array([-3.0, -1.0 / 3.0])]
-    pairing = ZeroPairing(6.0, nested, [False, False])
+    pairing = ZeroPairing(6.0, nested)
     assert pairing.pairs.dtype == np.complex128 and pairing.pairs.shape == (2, 2)
     assert pairing.pairs.tolist() == [[-2.0, -0.5], [-3.0, -1.0 / 3.0]]
     assert pairing.unit_circle_flags == (False, False)
     source = np.array([[2.0, 0.5]], dtype=np.complex128)
-    held = ZeroPairing(1.0, source, (False,)).pairs
+    held = ZeroPairing(1.0, source).pairs
     assert not np.shares_memory(held, source)
     for arr in (pairing.pairs, held, pairing.pairs[0]):
         with pytest.raises(ValueError):
             arr[0] = 1
         with pytest.raises(ValueError):
             arr.setflags(write=True)
-    assert ZeroPairing(5.0, (), ()).pairs.shape == (0, 2)
+    assert ZeroPairing(5.0, ()).pairs.shape == (0, 2)
     for bad in ([2.0, 0.5], [[2.0, 0.5, 1.0]], [[[2.0, 0.5]]]):
         with pytest.raises(ValueError):
-            ZeroPairing(1.0, bad, (False,))
+            ZeroPairing(1.0, bad)
     betas = RootSelection(pairing, (True, False)).betas()
     assert betas.dtype == np.complex128 and betas.tolist() == [-2.0, -1.0 / 3.0]
 
