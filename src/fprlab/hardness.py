@@ -12,6 +12,7 @@ back off is a root membership test with provable margins, which is what
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -57,7 +58,12 @@ class PPInstance:
     u: tuple
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.u)
+        vals = []
+        for v in self.u:
+            try:
+                vals.append(operator.index(v))
+            except TypeError:
+                raise ValueError(f"values must be integers, got {v!r}") from None
         if len(vals) < 2:
             raise ValueError("need at least two values")
         if any(v < 2 for v in vals):
@@ -66,7 +72,7 @@ class PPInstance:
             raise ValueError(
                 "max(u_1..u_{N-1}) must be >= 3; square all values to rescale"
             )
-        object.__setattr__(self, "u", vals)
+        object.__setattr__(self, "u", tuple(vals))
 
     @property
     def n(self) -> int:
@@ -215,8 +221,18 @@ def _embedding(values, u_last: int, u_max: int) -> PRInstance:
         top = math.inf
     if top == math.inf:
         raise OverflowBeyondPrecision(f"the top lag anchor^2 * u_N leaves double range (u_N has {u_last.bit_length()} bits)")
-    pairs = tuple((-float(v), -1.0 / v) for v in values)
-    return PRInstance._lazy_from_pairing(ZeroPairing(top, pairs), anchor)
+    return PRInstance._lazy_from_pairing(ZeroPairing(top, _planted_pairs(values)), anchor)
+
+
+def _planted_pairs(values) -> tuple:
+    """The float zero pair (-u, -1/u) planted for each value u."""
+    return tuple((-float(v), -1.0 / v) for v in values)
+
+
+def _readout(xm: ComplexSignal, values) -> list:
+    """One DiscriminationResult per value: |X_m| at its planted pair, all in one evaluation."""
+    mags = [abs(v) for v in eval_ztransform(xm, np.ravel(_planted_pairs(values))).tolist()]
+    return [DiscriminationResult(a, b) for a, b in zip(mags[::2], mags[1::2])]
 
 
 def construct_hard_instance(pp: PPInstance) -> HardInstance:
@@ -290,11 +306,9 @@ def discriminate(xm: ComplexSignal, uk: int, u_max: int, n: int) -> Discriminati
     """
     if uk < 2:
         raise ValueError("values are >= 2")
-    if float(u_max) ** (-n) > BOTH_ROOTS_CAP:
-        raise ValueError("thresholds require u_max^(-N) <= 1/4")
-    a = abs(eval_ztransform(xm, -float(uk)))
-    b = abs(eval_ztransform(xm, -1.0 / uk))
-    return DiscriminationResult(a, b)
+    if u_max < 2 or float(u_max) ** (-n) > BOTH_ROOTS_CAP:
+        raise ValueError("thresholds require u_max >= 2 and u_max^(-N) <= 1/4")
+    return _readout(xm, (uk,))[0]
 
 
 def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -> LemmaBoundsReport:
@@ -303,8 +317,8 @@ def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -
     With ||perturbation|| <= u_max^(-2N), every index k must satisfy
     either |X_m(1/beta_k)| >= |X_m(beta_k)| + c0 with
     c0 = 1 - 2 u_max^(-N) (reciprocal not a root), or, when both roots
-    are present, max of the two magnitudes <= u_max^(-N). Margins are
-    reported per index; positive margin means the clause holds.
+    are present, max of both <= u_max^(-N). Both are read at the planted
+    pair (-u_k, -1/u_k); a positive margin means the clause holds.
     """
     gamma = _check_witness(pp, gamma_set)
     n = pp.n
@@ -317,25 +331,15 @@ def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -
         raise HypothesisViolated(
             f"||perturbation|| = {float(np.linalg.norm(delta)):.3e} exceeds u_max^(-2N) = {hyp:.3e}"
         )
-    exact = ground_truth_exact(pp, gamma)
-    xm = ComplexSignal(np.array([float(c) for c in exact], dtype=np.complex128) + delta)
+    xm = ComplexSignal(ground_truth_signal(pp, gamma).entries + delta)
     c0 = discrimination_constant(u_max, n)
     cap = float(u_max) ** (-n)
-    side = {k: (k in gamma) for k in range(1, n)}
+    sides = {(uk, k in gamma) for k, uk in enumerate(pp.u[:-1], 1)}
     checks = []
-    for k in range(1, n):
-        uk = pp.u[k - 1]
-        beta = -float(uk) if side[k] else -1.0 / uk
-        recip = 1.0 / beta
-        double = any(
-            pp.u[j - 1] == uk and side[j] != side[k] for j in range(1, n) if j != k
-        )
-        mag_beta = abs(eval_ztransform(xm, beta))
-        mag_recip = abs(eval_ztransform(xm, recip))
-        if double:
-            margin = cap - max(mag_beta, mag_recip)
-        else:
-            margin = mag_recip - mag_beta - c0
+    for k, (uk, res) in enumerate(zip(pp.u, _readout(xm, pp.u[:-1])), 1):
+        double = (uk, k not in gamma) in sides
+        mag_beta, mag_recip = (res.mag_gamma, res.mag_recip) if k in gamma else (res.mag_recip, res.mag_gamma)
+        margin = cap - max(mag_beta, mag_recip) if double else mag_recip - mag_beta - c0
         checks.append(ClauseCheck(k, double, mag_beta, mag_recip, float(margin)))
     return LemmaBoundsReport(c0, cap, tuple(checks))
 
@@ -348,18 +352,18 @@ def decide_pp(
     """Decide a product-partition instance through retrieval plus readout.
 
     Each round plants the surviving values of u_1..u_{N-1}, runs the
-    solver to a near-solution and classifies the values in turn by root
-    membership. The first both-roots verdict removes that index and the
-    first other survivor of equal value (one lies on each side of any
-    solution) and starts the next round; with no equal survivor it
-    certifies that a solution exists. A clean round checks the product
-    identity exactly for the gamma-side indices plus one index of each
-    removed pair and, if it holds, returns the gamma side as witness.
-    NoFeasibleSolution from the solver, running out of survivors and a
-    failed identity all mean no solution. The anchor keeps the
-    admission-time u_max through removals, so shrunken rounds stay
-    well-posed even when the largest value was removed. Every round is
-    built by _embedding, so an instance past u_max^(2N) > 2^52 raises
+    solver to a near-solution, reads all root memberships in one pass
+    and takes the verdicts in turn. The first both-roots verdict removes
+    that index and the first other survivor of equal value (one lies on
+    each side of any solution) and starts the next round; with no equal
+    survivor it certifies that a solution exists. A clean round checks
+    the product identity exactly for the gamma-side indices plus one
+    index of each removed pair and, if it holds, returns the gamma side
+    as witness. NoFeasibleSolution from the solver, running out of
+    survivors and a failed identity all mean no solution. The anchor
+    keeps the admission-time u_max through removals, so shrunken rounds
+    stay well-posed even when the largest value was removed. Every round
+    is built by _embedding, so an instance past u_max^(2N) > 2^52 raises
     OverflowBeyondPrecision, as construct_hard_instance does.
     """
     u_max = pp.u_max
@@ -380,8 +384,7 @@ def decide_pp(
             raise SolverFailure("solver returned no iterate")
         xm = trace.iterates[-1]
         gamma = set()
-        for pos, uk in enumerate(values):
-            verdict = discriminate(xm, uk, u_max, n_cur).verdict
+        for pos, verdict in enumerate(r.verdict for r in _readout(xm, values)):
             if verdict is Verdict.BOTH_ROOTS:
                 break
             if verdict is Verdict.SELECT_GAMMA:
@@ -392,7 +395,7 @@ def decide_pp(
             if top != bottom:
                 break
             return PPDecision(PPAnswer.HAS_SOLUTION, frozenset(gamma), tuple(removed))
-        dup = next((i for i, v in enumerate(values) if v == uk and i != pos), None)
+        dup = next((i for i, v in enumerate(values) if v == values[pos] and i != pos), None)
         if dup is None:
             return PPDecision(PPAnswer.HAS_SOLUTION, None, tuple(removed))
         removed.append(tuple(sorted((survivors[pos], survivors[dup]))))

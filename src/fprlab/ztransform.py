@@ -115,14 +115,19 @@ class ZeroPairing:
         return len(self.pairs)
 
 
-def eval_ztransform(x: ComplexSignal, z: complex) -> complex:
-    """X(z) = sum_k x(k) z^-k via Horner on z^(N-1) X(z)."""
+def eval_ztransform(x: ComplexSignal, z: complex | np.ndarray) -> complex | np.ndarray:
+    """X(z) = sum_k x(k) z^-k via Horner on z^(N-1) X(z), at one point or in one pass over
+    a 1-D array of points. z^(N-1) is Python's complex power (numpy's can differ in the
+    last bit), so each value is bitwise the one-point call."""
+    pts = np.asarray(z, dtype=np.complex128)
     if x.n == 1:
-        return complex(x.entries[0])
-    z = complex(z)
-    if z == 0:
+        vals = np.full(pts.shape, x.entries[0])
+    elif not pts.all():
         raise ZeroArgument("z = 0 not in the domain for N > 1")
-    return complex(np.polyval(x.entries, z) / z ** (x.n - 1))
+    else:
+        powers = [w ** (x.n - 1) for w in pts.ravel().tolist()]
+        vals = np.polyval(x.entries, pts) / np.reshape(powers, pts.shape)
+    return complex(vals) if pts.ndim == 0 else vals
 
 
 def build_S_poly(r: Autocorrelation) -> PolyCoeffs:

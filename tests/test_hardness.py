@@ -30,7 +30,7 @@ from fprlab.hardness import (
     ground_truth_signal,
 )
 from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity
-from fprlab import solvers
+from fprlab import hardness, solvers
 from fprlab.solvers import IterateTrace, PRInstance, amplitude_loss, oracle_solve
 
 
@@ -46,6 +46,12 @@ def test_instance_admission():
         PPInstance((3,))
     with pytest.raises(ValueError):
         PPInstance((3, 1, 6))
+    # values are integers, never truncated into a different instance
+    for bad in ((2.5, 3, 6), (3.9, 3, 6), ("2", "3", "6")):
+        with pytest.raises(ValueError, match=f"integers, got {bad[0]!r}"):
+            PPInstance(bad)
+    pp = PPInstance((np.int64(2), np.uint8(3), 6))
+    assert pp.u == (2, 3, 6) and all(type(v) is int for v in pp.u)
 
 
 def test_brute_force_frozen():
@@ -228,6 +234,10 @@ def test_discriminate_guards():
         discriminate(xm, 1, 3, 3)
     with pytest.raises(ValueError):
         discriminate(xm, 2, 1, 1)
+    # u_max = 0 must not divide by zero; (-3)^-3 <= 1/4 must not pass
+    for u_max in (0, -3):
+        with pytest.raises(ValueError, match="u_max >= 2"):
+            discriminate(xm, 2, u_max, 3)
 
 
 def test_discrimination_constant_frozen():
@@ -264,6 +274,13 @@ def test_lemma_bounds_double_root_clause():
     assert rep.all_passed
     assert [c.double_root for c in rep.checks] == [True, True, False]
     assert rep.cap == pytest.approx(3.0 ** -4)
+
+
+def test_lemma_bounds_read_at_the_planted_roots():
+    # the off-side 49 is read at -49 itself, not at 1/(-1/49) = -49.00000000000001
+    rep = check_lemma_bounds(PPInstance((343, 49, 7)), {1}, ComplexSignal(np.zeros(3)))
+    assert rep.checks[1].mag_recip == 705600.0
+    assert rep.all_passed
 
 
 def test_lemma_bounds_hypothesis_guard():
@@ -415,3 +432,37 @@ def test_sweep_rounds_sample_only_when_read(monkeypatch):
         assert inst.normalization == eager.normalization
         assert inst.grid is inst.grid
     assert sampled == 2 * len(rounds)  # once per round, once per eager copy
+
+
+def test_sweep_reads_out_once_per_survivor_round(monkeypatch):
+    """Over the N = 3..5 sweep, each of the 658 rounds with a survivor
+    evaluates the z-transform once, at exactly its planted pairs, and
+    every magnitude is bitwise the one-point evaluation at its root."""
+    calls = []
+    evaluate = hardness.eval_ztransform
+
+    def recording(x, z):
+        calls.append((x, z))
+        return evaluate(x, z)
+
+    rounds = []
+
+    def solving(inst, cfg=None):
+        trace = oracle_solve(inst, cfg)
+        rounds.append((inst, trace.iterates[-1]))
+        return trace
+
+    monkeypatch.setattr(hardness, "eval_ztransform", recording)
+    for n in (3, 4, 5):
+        for pp in all_pp_instances(n, 2, 6):
+            decide_pp(pp, solving)
+    monkeypatch.undo()
+    assert len(calls) == len(rounds) == 658
+    for (inst, xm), (x, z) in zip(rounds, calls):
+        pairs = inst.pairing.pairs
+        assert x is xm
+        assert z.astype(np.complex128).tobytes() == pairs.ravel().tobytes()
+        values = [round(-g) for g in pairs[:, 0].real.tolist()]
+        for res, (g, h) in zip(hardness._readout(xm, values), pairs.tolist(), strict=True):
+            assert res.mag_gamma == abs(evaluate(xm, g))
+            assert res.mag_recip == abs(evaluate(xm, h))

@@ -56,6 +56,29 @@ def test_eval_ztransform_frozen():
     assert eval_ztransform(ComplexSignal(np.array([3.0 + 1j])), 0.0) == 3.0 + 1j
 
 
+def test_eval_ztransform_on_an_array_is_the_per_point_call():
+    """One pass over an array of points gives bitwise the one-point values,
+    which are Horner on z^(N-1) X(z) over Python's complex power."""
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        x = ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        zs = np.concatenate([-rng.uniform(0.01, 60.0, 6), rng.standard_normal(6) + 1j * rng.standard_normal(6)])
+        got = eval_ztransform(x, zs)
+        assert got.shape == zs.shape and got.dtype == np.complex128
+        one = [eval_ztransform(x, z) for z in zs.tolist()]
+        assert all(type(v) is complex for v in one)
+        assert got.tobytes() == np.array(one).tobytes()
+        if n > 1:
+            horner = [complex(np.polyval(x.entries, z) / z ** (n - 1)) for z in zs.tolist()]
+            assert got.tobytes() == np.array(horner).tobytes()
+        assert eval_ztransform(x, zs[:0]).shape == (0,)
+    # N = 1 is x(0) everywhere, 0 included; for N > 1 one zero point refuses the array
+    got = eval_ztransform(ComplexSignal(np.array([3.0 + 1j])), np.array([0.0, 2.0, -1j]))
+    assert got.tolist() == [3.0 + 1j] * 3
+    with pytest.raises(ZeroArgument):
+        eval_ztransform(ComplexSignal(np.array([9.0, 45.0, 54.0])), np.array([-2.0, 0.0]))
+
+
 @given(
     entries_lists(max_n=7, mag=2.0),
     st.floats(min_value=0.4, max_value=2.5),
