@@ -47,6 +47,14 @@ class Verdict(Enum):
     BOTH_ROOTS = "both_roots"
 
 
+def _integer(v, rule: str) -> int:
+    """v as a Python int (numpy integers pass); ValueError "<rule>, got v" otherwise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{rule}, got {v!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class PPInstance:
     """Values u_1..u_N, all integers >= 2, with max(u_1..u_{N-1}) >= 3.
@@ -58,12 +66,7 @@ class PPInstance:
     u: tuple
 
     def __post_init__(self):
-        vals = []
-        for v in self.u:
-            try:
-                vals.append(operator.index(v))
-            except TypeError:
-                raise ValueError(f"values must be integers, got {v!r}") from None
+        vals = [_integer(v, "values must be integers") for v in self.u]
         if len(vals) < 2:
             raise ValueError("need at least two values")
         if any(v < 2 for v in vals):
@@ -204,10 +207,9 @@ def _embedding(values, u_last: int, u_max: int) -> PRInstance:
     anchor^2 * u_last. Refuses once u_max^(2N) exceeds 2^52, where double
     precision would silently round the planted integers, or where the top
     lag has no double. Below that the pairing is real with positive scale
-    and roots -u, -1/u for u >= 2, so its spectrum can always be sampled:
-    the instance samples its grid on the first read of grid or
-    normalization, which most decide rounds, those the anchor leaves no
-    survivor, never make.
+    and roots -u, -1/u for u >= 2, so its spectrum can always be sampled.
+    The instance is built without samples: most decide rounds, those the
+    anchor leaves no survivor, never read them.
     """
     n = len(values) + 1
     if u_max ** (2 * n) > 2 ** 52:
@@ -221,7 +223,7 @@ def _embedding(values, u_last: int, u_max: int) -> PRInstance:
         top = math.inf
     if top == math.inf:
         raise OverflowBeyondPrecision(f"the top lag anchor^2 * u_N leaves double range (u_N has {u_last.bit_length()} bits)")
-    return PRInstance._lazy_from_pairing(ZeroPairing(top, _planted_pairs(values)), anchor)
+    return PRInstance(ZeroPairing(top, _planted_pairs(values)), anchor)
 
 
 def _planted_pairs(values) -> tuple:
@@ -265,20 +267,25 @@ def ground_truth_exact(pp: PPInstance, gamma_set) -> tuple:
     -1/u_k off it. When prod of the off-side values divides x(0) the
     entries are verified integral; otherwise they stay rational.
     """
-    gamma = _check_witness(pp, gamma_set)
+    return _planted_entries(pp, _check_witness(pp, gamma_set))
+
+
+def _planted_entries(pp: PPInstance, gamma: frozenset) -> tuple:
+    """ground_truth_exact for a witness that _check_witness has passed."""
     p = pp.n - 1
     betas = [
         Fraction(-pp.u[k - 1]) if k in gamma else Fraction(-1, pp.u[k - 1])
         for k in range(1, p + 1)
     ]
-    coeffs = [Fraction(pp.u_max ** (pp.n - 1))]
+    anchor = pp.u_max ** (pp.n - 1)
+    coeffs = [Fraction(anchor)]
     for b in betas:
         nxt = coeffs + [Fraction(0)]
         for i, c in enumerate(coeffs):
             nxt[i + 1] -= b * c
         coeffs = nxt
     off_product = math.prod(pp.u[k - 1] for k in range(1, p + 1) if k not in gamma)
-    if (pp.u_max ** (pp.n - 1)) % off_product == 0:
+    if anchor % off_product == 0:
         if any(c.denominator != 1 for c in coeffs):
             raise AssertionError("entries should be integral when the off product divides the anchor")
     return tuple(coeffs)
@@ -304,6 +311,8 @@ def discriminate(xm: ComplexSignal, uk: int, u_max: int, n: int) -> Discriminati
     reciprocal side. The constant thresholds are valid whenever
     u_max^(-N) <= 1/4, which the admission rule guarantees.
     """
+    uk = _integer(uk, "u_k must be an integer")
+    u_max = _integer(u_max, "u_max must be an integer")
     if uk < 2:
         raise ValueError("values are >= 2")
     if u_max < 2 or float(u_max) ** (-n) > BOTH_ROOTS_CAP:
@@ -327,11 +336,10 @@ def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -
         raise ValueError("perturbation length must match the instance")
     hyp = float(u_max) ** (-2 * n)
     delta = perturbation.entries
-    if float(np.linalg.norm(delta)) > hyp * (1.0 + 1e-12):
-        raise HypothesisViolated(
-            f"||perturbation|| = {float(np.linalg.norm(delta)):.3e} exceeds u_max^(-2N) = {hyp:.3e}"
-        )
-    xm = ComplexSignal(ground_truth_signal(pp, gamma).entries + delta)
+    size = float(np.linalg.norm(delta))
+    if size > hyp * (1.0 + 1e-12):
+        raise HypothesisViolated(f"||perturbation|| = {size:.3e} exceeds u_max^(-2N) = {hyp:.3e}")
+    xm = ComplexSignal(np.array([float(c) for c in _planted_entries(pp, gamma)]) + delta)
     c0 = discrimination_constant(u_max, n)
     cap = float(u_max) ** (-n)
     sides = {(uk, k in gamma) for k, uk in enumerate(pp.u[:-1], 1)}

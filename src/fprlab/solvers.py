@@ -1,11 +1,11 @@
 """Phase retrieval solvers over sampled intensity data.
 
 Instances carry a zero pairing, an anchor x(0), and intensity samples on
-a uniform grid (default four samples per signal entry). The public
-constructors sample the grid at once; a decide round's instance, built
-by hardness._embedding, samples it on first read, so a round whose
-anchor leaves no survivor never samples it. Three iterative schemes and
-one exact enumeration oracle share the instance type:
+a uniform grid (default four samples per signal entry). An instance
+given no samples takes them from the pairing's spectrum on first read,
+so a decide round whose anchor leaves no survivor never samples it.
+Three iterative schemes and one exact enumeration oracle share the
+instance type:
 
 - error reduction: alternating projection between the magnitude torus and
   the support-plus-anchor subspace; its amplitude loss never increases.
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -61,30 +62,28 @@ def grid_size(n: int, grid_mult: int = _GRID_MULT) -> int:
 class PRInstance:
     """One retrieval problem: pairing, finite anchor x(0) != 0, intensity samples.
 
-    The public constructors sample the grid at once, so a pairing whose
-    spectrum cannot be sampled is refused when the instance is built. A
-    decide round's instance (_lazy_from_pairing) samples its grid on the
-    first read of grid or normalization, exactly as from_pairing would,
-    and keeps it.
+    Given samples are the grid from the start. Without them the pairing's
+    spectrum is sampled on the first read of grid or normalization, as
+    from_pairing samples it, and kept; a pairing whose spectrum cannot be
+    sampled then fails at that read. from_pairing and from_signal sample
+    at once, so they refuse such a pairing when the instance is built.
     """
 
     pairing: ZeroPairing
     anchor: complex
-    grid: SpectrumSamples
+    samples: InitVar[SpectrumSamples | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, samples):
         anchor = complex(self.anchor)
         if anchor == 0 or not cmath.isfinite(anchor):
             raise ValueError(f"anchor x(0) must be finite and nonzero, got {anchor}")
         object.__setattr__(self, "anchor", anchor)
+        if samples is not None:
+            object.__setattr__(self, "grid", samples)
 
-    def __getattr__(self, name):
-        # reached only for attributes not set, so for grid only before its first read
-        if name != "grid":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        grid = _pairing_samples(self.pairing, _GRID_MULT)
-        object.__setattr__(self, "grid", grid)
-        return grid
+    @cached_property
+    def grid(self) -> SpectrumSamples:
+        return _pairing_samples(self.pairing, _GRID_MULT)
 
     @property
     def n(self) -> int:
@@ -95,20 +94,6 @@ class PRInstance:
         """sqrt of the mean sample, floored at the smallest normal double:
         sqrt(r(0)) on a uniform grid of at least 2N-1 points."""
         return math.sqrt(max(float(np.mean(self.grid.values)), np.finfo(float).tiny))
-
-    @classmethod
-    def _lazy_from_pairing(cls, pairing: ZeroPairing, anchor: complex) -> "PRInstance":
-        """from_pairing(pairing, anchor) with the grid sampled on first read.
-
-        Only for pairings on which spectrum_from_pairing cannot fail, such
-        as hardness._embedding's real (-u, -1/u) pairs: a failure would
-        surface at that read, not here.
-        """
-        inst = cls.__new__(cls)
-        object.__setattr__(inst, "pairing", pairing)
-        object.__setattr__(inst, "anchor", anchor)
-        inst.__post_init__()
-        return inst
 
     @classmethod
     def from_pairing(cls, pairing: ZeroPairing, anchor: complex, grid_mult: int = _GRID_MULT) -> "PRInstance":

@@ -238,6 +238,13 @@ def test_discriminate_guards():
     for u_max in (0, -3):
         with pytest.raises(ValueError, match="u_max >= 2"):
             discriminate(xm, 2, u_max, 3)
+    # values are integers: 2.5 would be read at -2.5 and -0.4
+    with pytest.raises(ValueError, match="u_k must be an integer, got 2.5"):
+        discriminate(xm, 2.5, 3, 3)
+    with pytest.raises(ValueError, match="u_max must be an integer, got 3.5"):
+        discriminate(xm, 2, 3.5, 3)
+    res, ref = discriminate(xm, np.int64(2), np.uint8(3), 3), discriminate(xm, 2, 3, 3)
+    assert (res.mag_gamma, res.mag_recip) == (ref.mag_gamma, ref.mag_recip)
 
 
 def test_discrimination_constant_frozen():

@@ -9,9 +9,11 @@ from fprlab.errors import (
     InsufficientSamples,
     NoFeasibleSolution,
     NonUniformGrid,
+    OverflowBeyondPrecision,
     StepDiverged,
 )
 from fprlab.signal_core import ComplexSignal, SpectrumSamples, autocorrelation, fourier_intensity, uniform_grid
+from fprlab import solvers
 from fprlab.solvers import (
     SOLVERS,
     IterateTrace,
@@ -30,6 +32,7 @@ from fprlab.solvers import (
     wirtinger_flow_solve,
     wirtinger_gradient,
 )
+from fprlab.ztransform import ZeroPairing
 
 
 def random_full_support(n, seed):
@@ -64,6 +67,44 @@ def test_instance_refuses_non_finite_anchor():
     for bad in (np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)):
         with pytest.raises(ValueError, match="anchor x\\(0\\) must be finite and nonzero"):
             PRInstance.from_pairing(pairing, bad)
+
+
+def test_instance_without_samples_samples_once_on_first_read(monkeypatch):
+    """PRInstance(pairing, anchor) samples the pairing's spectrum on the
+    first read of grid or normalization, bitwise as from_pairing does, and
+    keeps it; given samples are kept as given."""
+    pairing = pairing_of_signal(random_full_support(4, 3))[1]
+    eager = PRInstance.from_pairing(pairing, 2.0)
+    sampled = 0
+    spectrum = solvers.spectrum_from_pairing
+
+    def counting(pairing, omegas):
+        nonlocal sampled
+        sampled += 1
+        return spectrum(pairing, omegas)
+
+    monkeypatch.setattr(solvers, "spectrum_from_pairing", counting)
+    for first in ("grid", "normalization"):
+        sampled = 0
+        inst = PRInstance(pairing, 2.0)
+        assert sampled == 0
+        getattr(inst, first)
+        assert sampled == 1
+        assert inst.grid is inst.grid
+        assert sampled == 1
+        assert inst.grid.omegas.tobytes() == eager.grid.omegas.tobytes()
+        assert inst.grid.values.tobytes() == eager.grid.values.tobytes()
+        assert inst.normalization == eager.normalization
+    sampled = 0
+    assert PRInstance(pairing, 2.0, eager.grid).grid is eager.grid
+    assert sampled == 0
+    # the pairing of a scale-1e308 document: its spectrum leaves double range
+    huge = ZeroPairing(1e308, ((-2, -0.5),))
+    inst = PRInstance(huge, 1.0)
+    with pytest.raises(OverflowBeyondPrecision, match="spectrum of the pairing"):
+        inst.grid
+    with pytest.raises(OverflowBeyondPrecision, match="spectrum of the pairing"):
+        PRInstance.from_pairing(huge, 1.0)
 
 
 def test_solver_config_validation():
