@@ -151,7 +151,7 @@ def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi) -> None:
     re[1 : k + 2], im[1 : k + 2] = nr, ni
 
 
-def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> np.ndarray:
+def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> np.ndarray:
     """(len(codes), p + 1) block whose rows are reference.signal_from_selection
     of the selections with these codes, in order, at anchor phase alpha.
 
@@ -160,13 +160,16 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> np
     factors are built once for all 2^b low codes, in place by doubling
     (bit k clear takes gamma_recip, set takes gamma), beside the products
     of their root moduli in pair order; each block of codes starts from
-    that table and multiplies in the other p - b factors. When b = p and
-    the codes, increasing as every caller passes them, are all 2^p codes,
-    the table is the block itself and nothing is copied. Rows whose roots
-    are closed under conjugation get np.poly's real branch; no row can be
-    unless some root's conjugate is a root of the pairing.
+    that table and multiplies in the other p - b factors. The codes are
+    increasing and distinct, as every caller passes them, so 2^p of them
+    are every code in order: then b = min(p, RESIDUAL_BLOCK_BITS), and at
+    b = p the table is the block itself and nothing is copied. Fewer codes
+    take b = 0, a table of one empty product. Rows whose roots are closed
+    under conjugation get np.poly's real branch; no row can be unless some
+    root's conjugate is a root of the pairing.
     """
     p, pairs = pairing.n_pairs, pairing.pairs
+    b = min(p, RESIDUAL_BLOCK_BITS) if codes.size == 1 << p else 0
     width = 1 << b
     re, im, mag = np.zeros((p + 1, width)), np.zeros((p + 1, width)), np.ones(width)
     re[0] = 1.0
@@ -181,19 +184,18 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float, b: int) -> np
     out = np.empty((codes.size, p + 1), np.complex128)
     for lo, hi in _blocks(codes.size):
         block = codes[lo:hi]
-        if b == p and block.size == width:  # the table holds every code, in order
+        if b == p:  # the table holds every code, in order
             br, bi, bm = re, im, mag
         else:
             low = block & (width - 1)
-            br, bi, bm = re[:, low], im[:, low], mag[low] if b else None
+            br, bi, bm = re[:, low], im[:, low], mag[low]
         if b < p:
             high = _picked_roots(pairs[b:], block >> b)  # the roots of pairs b..p-1
             wr, wi = -high.real.T, -high.imag.T
             for k in range(b, p):
                 _factor_in(br, bi, k, wr[k - b], wi[k - b])
             mw = np.abs(high)
-            if b:
-                mw[:, 0] *= bm  # np.prod then multiplies bm by the moduli in pair order
+            mw[:, 0] *= bm  # np.prod then multiplies bm by the moduli in pair order
             bm = np.prod(mw, axis=1)
         if closable:
             betas = high if b == 0 else _picked_roots(pairs, block)
@@ -217,7 +219,7 @@ def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
     """
     p = _check_budget(pairing, 1 << pairing.n_pairs)
     codes = np.arange(1 << p)
-    return SolutionSet(pairing, codes, _expand(pairing, codes, 0.0, min(p, RESIDUAL_BLOCK_BITS)))
+    return SolutionSet(pairing, codes, _expand(pairing, codes, 0.0))
 
 
 def _phase_fixed(e: np.ndarray) -> np.ndarray:
@@ -237,7 +239,8 @@ def canonicalize(x: ComplexSignal) -> ComplexSignal:
     Strips leading/trailing zero entries (translation), rotates the
     global phase so the first entry is real positive, and keeps the
     lexicographically smaller of the result and its conjugate
-    reflection under (re, im) entry order after rounding to 1e-9.
+    reflection under (re, im) entry order after rounding to 1e-9 of the
+    peak modulus, so the choice does not depend on the signal's scale.
     """
     mag = np.abs(x.entries)
     peak = float(np.max(mag))
@@ -247,7 +250,7 @@ def canonicalize(x: ComplexSignal) -> ComplexSignal:
     core = x.entries[nz[0] : nz[-1] + 1]
     a = _phase_fixed(np.array(core))
     b = _phase_fixed(np.conj(core[::-1]))
-    pick = a if _lex_key(a) <= _lex_key(b) else b
+    pick = a if _lex_key(a / peak) <= _lex_key(b / peak) else b
     return ComplexSignal(pick)
 
 
@@ -362,7 +365,7 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
     survivors = _survivor_codes(pairing, x0, tol)
     if not survivors.size:
         raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
-    return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0)), 0))
+    return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0))))
 
 
 def filter_by_anchor(sols: SolutionSet, x0: complex) -> SolutionSet:

@@ -44,7 +44,6 @@ from .errors import (
 from .generate import generic_instance, planted_retrieval
 from .hardness import PPAnswer, PPInstance, decide_pp
 from .signal_core import (
-    DEFAULT_TOL,
     ComplexSignal,
     autocorrelation,
     spectrum_from_autocorr,
@@ -174,7 +173,7 @@ def _emit_doc(doc: dict, out_path: str | None):
 def cmd_autocorr(args) -> int:
     x = parse_signal(load_document(args.input, "autocorr", ("signal",)))
     r = autocorrelation(x)
-    floor = float(np.min(spectrum_from_autocorr(r, uniform_grid(grid_size(x.n)), tol=args.tol).values))
+    floor = float(np.min(spectrum_from_autocorr(r, uniform_grid(grid_size(x.n))).values))
     _emit_doc(
         {
             "kind": "autocorr",
@@ -400,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("autocorr", help="autocorrelation of a signal")
     p.add_argument("input", help="JSON file with kind 'signal', or - for stdin")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="imaginary residue tolerance")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_autocorr)
 

@@ -197,7 +197,7 @@ def fourier_intensity(x: ComplexSignal, omegas) -> SpectrumSamples:
     return SpectrumSamples(om, vals)
 
 
-def spectrum_from_autocorr(r: Autocorrelation, omegas, tol: float = DEFAULT_TOL) -> SpectrumSamples:
+def spectrum_from_autocorr(r: Autocorrelation, omegas) -> SpectrumSamples:
     """Evaluate R(omega) = sum_{|n|<N} r(n) exp(-i omega n) on the given angles.
 
     Parameters
@@ -206,25 +206,22 @@ def spectrum_from_autocorr(r: Autocorrelation, omegas, tol: float = DEFAULT_TOL)
         Stored nonnegative lags; negative lags are their conjugates.
     omegas : array_like
         Angles to evaluate on, any real values.
-    tol : float
-        Absolute bound on the imaginary residue of the sum, finite and
-        nonnegative. A clean r produces an exactly conjugate-symmetric
-        sum, so residue beyond tol signals corrupted input.
 
     Raises
     ------
-    ValueError
-        If tol is negative or not finite (NaN would turn the check off).
     ImaginaryResidueExceeded
-        If any sample's imaginary part exceeds tol before clamping.
+        If any sample's imaginary part exceeds DEFAULT_TOL * (sum_n |r(n)| + 1)
+        over the stored lags before clamping. A clean r produces an exactly
+        conjugate-symmetric sum, so only rounding, which grows with the lags,
+        leaves a residue; a larger one signals corrupted input.
     """
-    checked_tol(tol, "imaginary residue tol")
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
     n = r.n
     lags = np.arange(-(n - 1), n)
     full = np.concatenate([np.conj(r.entries[:0:-1]), r.entries])
     vals = np.exp(-1j * np.outer(om, lags)) @ full
     worst = float(np.max(np.abs(vals.imag), initial=0.0))
+    tol = DEFAULT_TOL * (float(np.sum(np.abs(r.entries))) + 1.0)
     if worst > tol:
         raise ImaginaryResidueExceeded(
             f"imaginary residue {worst:.3e} exceeds tol {tol:.3e}"

@@ -106,9 +106,8 @@ class PRInstance:
         r = autocorrelation(x)
         if pairing is None:
             pairing = factor(r)
-        tol = 1e-9 * (float(np.sum(np.abs(r.entries))) + 1.0)
         om = uniform_grid(grid_size(x.n))
-        samples = SpectrumSamples(om, np.maximum(spectrum_from_autocorr(r, om, tol=tol).values, 0.0))
+        samples = SpectrumSamples(om, np.maximum(spectrum_from_autocorr(r, om).values, 0.0))
         return cls(pairing, complex(x.entries[0]), samples)
 
 

@@ -53,13 +53,17 @@ def test_enumeration_cardinality_frozen():
     assert len(reps) == 2
 
 
-@given(signals_with_clean_roots())
+SCALES = st.sampled_from((1e-13, 1e-10, 1e-7, 1.0, 1e6, 1e12))
+
+
+@given(signals_with_clean_roots(), SCALES)
 @settings(max_examples=60, deadline=None)
-def test_enumeration_counts(pair):
+def test_enumeration_counts(pair, scale):
     """2^(N-1) selections, 2^(N-2) of them distinct up to the trivial
-    ambiguities."""
+    ambiguities, at any scale of the signal."""
     roots, x = pair
     assume(well_separated(roots))
+    x = ComplexSignal(scale * x.entries)
     _, pairing = pairing_of_signal(x)
     sols = enumerate_solutions(pairing)
     assert len(sols.solutions) == 2 ** (x.n - 1)
@@ -115,20 +119,22 @@ def test_canonicalize_picks_reflection_min():
     signals_with_clean_roots(),
     st.floats(min_value=0.0, max_value=2 * np.pi),
     st.booleans(),
+    SCALES,
 )
 @settings(max_examples=60, deadline=None)
-def test_canonicalize_orbit_invariance(pair, phase, reflect):
+def test_canonicalize_orbit_invariance(pair, phase, reflect, scale):
     roots, x = pair
     assume(well_separated(roots))
+    x = ComplexSignal(scale * x.entries)
     y = ComplexSignal(np.exp(1j * phase) * x.entries)
     if reflect:
         y = y.conj_reflect()
     cx = canonicalize(x)
     cy = canonicalize(y)
     assert cx.n == cy.n
-    scale = float(np.linalg.norm(cx.entries)) + 1.0
-    assert np.allclose(cx.entries, cy.entries, rtol=1e-7, atol=1e-7 * scale)
-    assert trivial_orbit_distance(x, y) <= 1e-7 * scale
+    norm = float(np.linalg.norm(cx.entries))
+    assert np.allclose(cx.entries, cy.entries, rtol=1e-7, atol=1e-7 * norm)
+    assert trivial_orbit_distance(x, y) <= 1e-7 * norm
 
 
 def test_orbit_distance_basics():
@@ -518,7 +524,8 @@ def test_anchored_survivors_refused_block_by_block(monkeypatch):
     search that passes the byte budget: 14 pairs make four blocks of 4096
     codes, tol=1e12 keeps every code, and room for 5000 selections is
     passed in the second block, so the message gives its count as a lower
-    bound. Under the default budget all four blocks run and keep every code."""
+    bound. Under the default budget all four blocks run and keep every code,
+    and the anchored set of every code is the full enumeration, bit for bit."""
     us = 2.0 + 0.1 * np.arange(14)
     pairing = ZeroPairing(1.0, tuple((-u, -1.0 / u) for u in us))
     calls = 0
@@ -538,6 +545,7 @@ def test_anchored_survivors_refused_block_by_block(monkeypatch):
     calls = 0
     assert ambiguity._survivor_codes(pairing, 1.0, 1e12).tolist() == list(range(1 << 14))
     assert calls == 4
+    assert anchored_solutions(pairing, 1.0, tol=1e12).rows.tobytes() == enumerate_solutions(pairing).rows.tobytes()
 
 
 def test_enumeration_bytes_per_selection():
