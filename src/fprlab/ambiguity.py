@@ -30,6 +30,10 @@ ANCHOR_REL_TOL = 1e-6
 CANON_DECIMALS = 9
 CANON_REL_TOL = 1e-6
 RESIDUAL_BLOCK_BITS = 12
+# Cutovers to the Python-float paths, where a numpy call costs more than
+# the arithmetic it would batch (crossovers measured in CHANGES.md).
+_SMALL_CODES = 64  # _survivor_codes: at most this many codes, 2^p
+_SMALL_ROWS = 4  # _expand: at most this many rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +171,20 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> np.ndarray
     take b = 0, a table of one empty product. Rows whose roots are closed
     under conjugation get np.poly's real branch; no row can be unless some
     root's conjugate is a root of the pairing.
+
+    Up to _SMALL_ROWS codes (4) take _expand_small instead: the same
+    arithmetic per row in Python floats, without the table and the ~10
+    numpy calls per factor that cost more than the arithmetic there.
     """
     p, pairs = pairing.n_pairs, pairing.pairs
+    roots = set(pairs.ravel().tolist())
+    closable = any(z.conjugate() in roots for z in roots)
+    if codes.size <= _SMALL_ROWS:
+        re_rows, im_rows, mag = _expand_small(pairs, codes.tolist(), closable)
+        out = np.empty((codes.size, p + 1), np.complex128)
+        out.real, out.imag = re_rows, im_rows
+        _apply_gain(out, np.array(mag), pairing.scale, alpha)
+        return out
     b = min(p, RESIDUAL_BLOCK_BITS) if codes.size == 1 << p else 0
     width = 1 << b
     re, im, mag = np.zeros((p + 1, width)), np.zeros((p + 1, width)), np.ones(width)
@@ -179,8 +195,6 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> np.ndarray
         w = -np.repeat(pairs[k, ::-1], h)
         _factor_in(re[:, : 2 * h], im[:, : 2 * h], k, w.real, w.imag)
         mag[: 2 * h] *= np.abs(w)
-    roots = set(pairs.ravel().tolist())
-    closable = any(z.conjugate() in roots for z in roots)
     out = np.empty((codes.size, p + 1), np.complex128)
     for lo, hi in _blocks(codes.size):
         block = codes[lo:hi]
@@ -202,9 +216,50 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> np.ndarray
             bi[:, np.all(np.sort(betas, axis=1) == np.sort(betas.conj(), axis=1), axis=1)] = 0.0
         rows = out[lo:hi]
         rows.real, rows.imag = br.T, bi.T
-        gain = np.exp(1j * alpha) * (np.sqrt(abs(pairing.scale)) / np.sqrt(bm))
-        np.multiply(gain[:, None], rows, out=rows)
+        _apply_gain(rows, bm, pairing.scale, alpha)
     return out
+
+
+def _expand_small(pairs: np.ndarray, codes: list, closable: bool) -> tuple:
+    """Real rows, imaginary rows and root-modulus products of _expand's
+    selections before the gain, as Python floats, bitwise _expand's blocks.
+
+    Each row multiplies in its factors in pair order with _factor_in's
+    real operations, highest coefficient first so each is updated in
+    place. The moduli come from np.abs, which Python's abs(complex) does
+    not always match in the last bit.
+    """
+    p, roots, mods = len(pairs), pairs.tolist(), np.abs(pairs).tolist()
+    re_rows, im_rows, mags = [], [], []
+    for code in codes:
+        re, im, mag, picked = [1.0] + [0.0] * p, [0.0] * (p + 1), 1.0, []
+        for k in range(p):
+            pick = 1 - (code >> k & 1)  # bit k set takes gamma, column 0
+            z = roots[k][pick]
+            wr, wi = -z.real, -z.imag
+            for j in range(k, -1, -1):
+                pr, pi = re[j], im[j]
+                re[j + 1] = (pr * wr + re[j + 1]) - pi * wi
+                im[j + 1] = pr * wi + (pi * wr + im[j + 1])
+            mag *= mods[k][pick]
+            picked.append(z)
+        if closable and sorted(picked, key=_re_im) == sorted((z.conjugate() for z in picked), key=_re_im):
+            im = [0.0] * (p + 1)
+        re_rows.append(re)
+        im_rows.append(im)
+        mags.append(mag)
+    return re_rows, im_rows, mags
+
+
+def _re_im(z: complex) -> tuple:
+    """np.sort's order of complex values: by real part, then imaginary part."""
+    return z.real, z.imag
+
+
+def _apply_gain(rows: np.ndarray, mag: np.ndarray, scale: complex, alpha: float) -> None:
+    """Scale each row by e^(i alpha) sqrt|scale| / sqrt(its root-modulus product), in place."""
+    gain = np.exp(1j * alpha) * (np.sqrt(abs(scale)) / np.sqrt(mag))
+    np.multiply(gain[:, None], rows, out=rows)
 
 
 def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:
@@ -306,6 +361,11 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray
     linear edge is not positive. The bounds need every partial product in
     the normal range: a <= 700 (e^700 ~ 1e304) and |T| in [1e-300, 1e300].
     Otherwise every code is a candidate.
+
+    Up to _SMALL_CODES codes (2^p <= 64) build the table and the window
+    test in Python floats instead, with the same additions in the same
+    order, from the same np.log moduli (math.log can differ in the last
+    bit); their window codes take the same exact check.
     """
     p = _check_budget(pairing)
     target = complex(pairing.scale) / _anchor_power(x0)
@@ -321,24 +381,34 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray
         lo, hi = lo - slack, hi + slack
     else:
         lg, lo, hi = np.zeros_like(lg), -math.inf, math.inf
-    b = min(p, RESIDUAL_BLOCK_BITS)
-    low = _log_sums(lg[:b])
     kept = 0
 
-    def survivors(sums: np.ndarray, base: int) -> np.ndarray:
+    def survivors(codes: np.ndarray, base: int, size: int) -> np.ndarray:
+        """Those of a block's window codes (relative to base; the block
+        holds size codes) within thr, counted against the byte budget."""
         nonlocal kept
-        codes = ((sums >= lo) & (sums <= hi)).nonzero()[0]
         if not codes.size:
             return codes
         codes += base
         codes = codes[_residuals(pairing.pairs, codes, target) <= thr]
         kept += codes.size
-        _check_budget(pairing, kept, partial=base + sums.size < 1 << p)
+        _check_budget(pairing, kept, partial=base + size < 1 << p)
         return codes
 
+    if 1 << p <= _SMALL_CODES:
+        sums = [0.0]
+        for g, r in lg.tolist():
+            sums = [x + s for x in (r, g) for s in sums]
+        return survivors(np.array([c for c, s in enumerate(sums) if lo <= s <= hi], np.intp), 0, len(sums))
+
+    def window(sums: np.ndarray) -> np.ndarray:
+        return ((sums >= lo) & (sums <= hi)).nonzero()[0]
+
+    b = min(p, RESIDUAL_BLOCK_BITS)
+    low = _log_sums(lg[:b])
     if p == b:
-        return survivors(low, 0)
-    return np.concatenate([survivors(low + s, h << b) for h, s in enumerate(_log_sums(lg[b:]))])
+        return survivors(window(low), 0, low.size)
+    return np.concatenate([survivors(window(low + s), h << b, low.size) for h, s in enumerate(_log_sums(lg[b:]))])
 
 
 def _log_sums(lg: np.ndarray) -> np.ndarray:

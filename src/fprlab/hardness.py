@@ -204,17 +204,19 @@ def _embedding(values, u_last: int, u_max: int) -> PRInstance:
     """Float retrieval instance planting values as zero pairs (-u, -1/u).
 
     With N = len(values) + 1: anchor u_max^(N-1) and top lag
-    anchor^2 * u_last. Refuses once u_max^(2N) exceeds 2^52, where double
-    precision would silently round the planted integers, or where the top
-    lag has no double. Below that the pairing is real with positive scale
-    and roots -u, -1/u for u >= 2, so its spectrum can always be sampled.
+    anchor^2 * u_last. Refuses once u_max^(2N) exceeds 2^52 (below it the
+    planted values, the anchor and its square are exact in doubles, so the
+    top lag is rounded at most once) or when the top lag has no double.
+    An instance it builds has a real pairing with positive scale and roots
+    -u, -1/u for u >= 2, so its spectrum can always be sampled.
     The instance is built without samples: most decide rounds, those the
     anchor leaves no survivor, never read them.
     """
     n = len(values) + 1
     if u_max ** (2 * n) > 2 ** 52:
         raise OverflowBeyondPrecision(
-            f"u_max^(2N) = {u_max}^{2 * n} exceeds 2^52; exact mode only"
+            f"u_max^(2N) = {u_max}^{2 * n} exceeds 2^52; below it the planted values, the anchor"
+            " and its square are exact in doubles, and the top lag anchor^2 * u_N is rounded at most once"
         )
     anchor = float(u_max ** (n - 1))
     try:

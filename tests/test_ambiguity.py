@@ -353,6 +353,71 @@ def test_survivor_search_matches_full_scan_at_its_boundaries(corpus):
         anchor_residuals(*corpus.far)
 
 
+def _paths(monkeypatch, run):
+    """run() with the Python-float paths taken wherever they apply, with
+    only the numpy block paths, and at the default cutovers: one result
+    each, or the exception each raised."""
+    out = []
+    for small_codes, small_rows in ((1 << 30, 1 << 30), (0, 0), (ambiguity._SMALL_CODES, ambiguity._SMALL_ROWS)):
+        monkeypatch.setattr(ambiguity, "_SMALL_CODES", small_codes)
+        monkeypatch.setattr(ambiguity, "_SMALL_ROWS", small_rows)
+        try:
+            out.append(run())
+        except OverflowBeyondPrecision as exc:
+            out.append(type(exc))
+    return out
+
+
+def test_small_paths_match_block_paths(corpus, monkeypatch):
+    """The Python-float survivor search (2^p <= _SMALL_CODES) and
+    expansion (at most _SMALL_ROWS codes) give bitwise the codes and rows
+    of the numpy block paths: on every sweep embedding's survivors, on the
+    generic pairings at each cutover and one past it (2^p = 64 and 128
+    codes; 4 and 5 rows), on pairings whose rows take np.poly's real
+    branch (complex conjugate partners among them), and on a flagged
+    unit-circle pair. The far pairing is refused on every path."""
+    assert (ambiguity._SMALL_CODES, ambiguity._SMALL_ROWS) == (64, 4)
+
+    def codes(pairing, x0, tol=ANCHOR_REL_TOL):
+        def run():
+            got = ambiguity._survivor_codes(pairing, x0, tol)
+            return got.dtype.str, got.tobytes()
+        small, block, default = _paths(monkeypatch, run)
+        assert small == block == default
+        return np.frombuffer(small[1], small[0])
+
+    def rows(pairing, picked, alpha=0.7):
+        picked = np.asarray(picked, np.int64)
+        small, block, default = _paths(monkeypatch, lambda: ambiguity._expand(pairing, picked, alpha).tobytes())
+        assert small == block == default
+
+    seen = Counter()
+    for pairing, x0 in corpus.sweep:
+        kept = codes(pairing, x0)
+        if kept.size:
+            rows(pairing, kept, float(np.angle(x0)))
+        seen[kept.size] += 1
+    assert seen == {0: 3450, 1: 62, 2: 270, 3: 74, 4: 4}  # 4 rows: the sweep reaches the row cutover
+    at_cutover = [case for case in corpus.generic if case[0].n_pairs in (6, 7)]
+    assert {pairing.n_pairs for pairing, _ in at_cutover} == {6, 7}
+    for pairing, x0 in at_cutover:
+        for tol in (ANCHOR_REL_TOL, 1.0):
+            codes(pairing, x0, tol)
+        for k in (1, 4, 5):
+            rows(pairing, range(0, 1 << pairing.n_pairs, 11)[:k])
+    sixteen = codes(*corpus.sixteen)
+    for k in (1, 2, 4, 5, 16):
+        rows(corpus.sixteen[0], sixteen[:k])
+    for pairing, x0 in [*corpus.closable, corpus.flagged]:
+        codes(pairing, x0)
+        picked = np.arange(min(1 << pairing.n_pairs, 40))
+        for k in (1, 4, 5):
+            for lo in range(0, picked.size, k):
+                rows(pairing, picked[lo : lo + k])
+    assert corpus.flagged[0].unit_circle_flags == (True,)
+    assert _paths(monkeypatch, lambda: ambiguity._survivor_codes(*corpus.far, ANCHOR_REL_TOL)) == [OverflowBeyondPrecision] * 3
+
+
 def test_enumeration_matches_per_selection_reference(corpus):
     """enumerate_solutions equals a signal_from_selection loop bit for bit.
 

@@ -111,8 +111,11 @@ def test_hard_instance_spectrum_matches_planted_signal():
 
 def test_overflow_guard():
     pp = PPInstance((6,) * 11 + (4,))
-    with pytest.raises(OverflowBeyondPrecision):
+    with pytest.raises(OverflowBeyondPrecision) as refused:
         construct_hard_instance(pp)
+    # the message says what the bound keeps exact; no exact mode exists
+    assert str(refused.value).startswith("u_max^(2N) = 6^24 exceeds 2^52; below it the planted values")
+    assert "exact mode" not in str(refused.value)
     with pytest.raises(OverflowBeyondPrecision):
         decide_pp(pp, oracle_solve)
     # solvable ({1,2} and {2,3}), but 362^8 > 2^52: with the planted
