@@ -432,10 +432,23 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
     expanding any, when the survivors would pass the byte budget of
     enumerate_solutions: at the first block of the search that passes it.
     """
+    survivors = _anchored_codes(pairing, x0, tol)
+    return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0))))
+
+
+def first_anchored_row(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_REL_TOL) -> np.ndarray:
+    """anchored_solutions(pairing, x0, tol).rows[0] as a new writable row,
+    bitwise: the same survivor search and refusals, but only the first
+    survivor is expanded."""
+    return _expand(pairing, _anchored_codes(pairing, x0, tol)[:1], float(np.angle(x0)))[0]
+
+
+def _anchored_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray:
+    """_survivor_codes, with NoFeasibleSolution when nothing survives."""
     survivors = _survivor_codes(pairing, x0, tol)
     if not survivors.size:
         raise NoFeasibleSolution(f"no selection matches anchor {complex(x0)}")
-    return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0))))
+    return survivors
 
 
 def filter_by_anchor(sols: SolutionSet, x0: complex) -> SolutionSet:

@@ -12,8 +12,8 @@ instance type:
 - hybrid input-output: the classic feedback relaxation; not monotone.
 - Wirtinger flow: plain gradient descent on the squared intensity misfit.
 - oracle: search the selections whose root-product modulus can match
-  the anchor, check only those exactly, expand every survivor and
-  return the first.
+  the anchor, check only those exactly, and expand and return the first
+  survivor.
 
 Iterative schemes run on a copy of the instance rescaled so r(0) = 1 and
 report iterates and losses in original units; every reported iterate has
@@ -23,6 +23,9 @@ Each iterative scheme is a generator of passes, one (iterate, loss) per
 pass, and one driver runs all three under one stop rule: a run stops
 after the first pass whose loss is <= loss_tol (converged) or after
 max_iters + 1 passes, that is max_iters updates, whichever comes first.
+A generator allocates its work arrays once per run and writes every FFT
+and ufunc result into them through out=; each row it yields is a new
+array that no later pass writes.
 """
 
 from __future__ import annotations
@@ -234,19 +237,38 @@ def _drive(passes, inst: PRInstance, cfg: SolverConfig | None) -> IterateTrace:
     return IterateTrace(_emit(inst, norm, rows), np.array(losses), losses[-1] <= cfg.loss_tol)
 
 
-def _mag_project(field_hat: np.ndarray, target: np.ndarray) -> np.ndarray:
-    mags = np.abs(field_hat)
-    phase = np.where(mags > 0, field_hat / np.where(mags > 0, mags, 1.0), 1.0 + 0j)
-    return target * phase
+def _mag_project(fh: np.ndarray, target: np.ndarray, mags: np.ndarray, pos: np.ndarray, ph: np.ndarray) -> None:
+    """ph = target * fh / |fh|, with phase 1 where |fh| is not positive; mags holds |fh|.
+
+    The division is numpy's promoted complex division, the operation
+    fh / mags performs, whatever its rounding on a given numpy.
+    """
+    ph.fill(1.0)
+    np.greater(mags, 0.0, out=pos)
+    np.divide(fh, mags, out=ph, where=pos)
+    np.multiply(target, ph, out=ph)
+
+
+def _amplitude_misfit(fh: np.ndarray, target: np.ndarray, mags: np.ndarray, d: np.ndarray) -> float:
+    """sum (|fh| - target)^2, leaving |fh| in mags."""
+    np.abs(fh, out=mags)
+    np.subtract(mags, target, out=d)
+    np.square(d, out=d)
+    return float(d.sum())
 
 
 def _er_passes(n, cfg, field, target, anchor_n, r0):
+    # field is this run's own array: its tail stays zero and its head is
+    # rewritten each pass; the other work arrays are allocated once here
+    m = field.size
+    fh, ph = np.empty(m, np.complex128), np.empty(m, np.complex128)
+    mags, d, pos = np.empty(m), np.empty(m), np.empty(m, bool)
     while True:
-        fh = np.fft.fft(field)
-        yield field[:n].copy(), r0 * float(np.sum((np.abs(fh) - target) ** 2))
-        w = np.fft.ifft(_mag_project(fh, target))
-        field = np.zeros_like(field)
-        field[:n] = w[:n]
+        np.fft.fft(field, out=fh)
+        yield field[:n].copy(), r0 * _amplitude_misfit(fh, target, mags, d)
+        _mag_project(fh, target, mags, pos, ph)
+        np.fft.ifft(ph, out=fh)
+        field[:n] = fh[:n]
         field[0] = anchor_n
 
 
@@ -263,18 +285,25 @@ def error_reduction_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> 
 
 def _hio_passes(n, cfg, field, target, anchor_n, r0):
     beta = cfg.beta_hio
+    m = field.size
+    fh, ph, w = np.empty(m, np.complex128), np.empty(m, np.complex128), np.empty(m, np.complex128)
+    mags, d, pos = np.empty(m), np.empty(m), np.empty(m, bool)
     while True:
-        fh = np.fft.fft(field)
-        w = np.fft.ifft(_mag_project(fh, target))
+        np.fft.fft(field, out=fh)
+        np.abs(fh, out=mags)
+        _mag_project(fh, target, mags, pos, ph)
+        np.fft.ifft(ph, out=w)
         rep = w[:n].copy()
         rep[0] = anchor_n
-        rep_hat = np.fft.fft(rep, n=field.size)
-        yield rep, r0 * float(np.sum((np.abs(rep_hat) - target) ** 2))
-        nxt = np.empty_like(field)
-        nxt[:n] = w[:n]
-        nxt[0] = field[0] - beta * (w[0] - anchor_n)
-        nxt[n:] = field[n:] - beta * w[n:]
-        field = nxt
+        np.fft.fft(rep, n=m, out=fh)
+        yield rep, r0 * _amplitude_misfit(fh, target, mags, d)
+        # the feedback reads field[0] and field[n:] before they are overwritten
+        head = field[0] - beta * (w[0] - anchor_n)
+        tail = field[n:]
+        np.multiply(beta, w[n:], out=w[n:])
+        np.subtract(tail, w[n:], out=tail)
+        field[:n] = w[:n]
+        field[0] = head
 
 
 def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> IterateTrace:
@@ -292,20 +321,29 @@ def hio_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> IterateTrace
 
 def _wf_passes(n, cfg, field, target, anchor_n, r0):
     m = field.size
-    r_target = target ** 2
+    r_target = np.square(target)
     z = field[:n].copy()
+    zh, g = np.empty(m, np.complex128), np.empty(m, np.complex128)
+    diff, d2 = np.empty(m), np.empty(m)
     loss0 = None
     while True:
-        zh = np.fft.fft(z, n=m)
-        diff = np.abs(zh) ** 2 - r_target
-        loss_n = float(np.sum(diff ** 2))
+        np.fft.fft(z, n=m, out=zh)
+        np.abs(zh, out=diff)
+        np.square(diff, out=diff)
+        np.subtract(diff, r_target, out=diff)
+        np.square(diff, out=d2)
+        loss_n = float(d2.sum())
         if loss0 is None:
             loss0 = max(loss_n, np.finfo(float).tiny)
         if not np.isfinite(loss_n) or loss_n > 1e12 * loss0:
             raise StepDiverged(f"intensity loss reached {loss_n:.3e} from {loss0:.3e}")
         yield z, r0 ** 2 * loss_n
-        grad = 4.0 * m * np.fft.ifft(diff * zh)[:n]
-        z = z - cfg.step_size * grad
+        np.multiply(diff, zh, out=g)
+        np.fft.ifft(g, out=zh)
+        grad = zh[:n]
+        np.multiply(4.0 * m, grad, out=grad)
+        np.multiply(cfg.step_size, grad, out=grad)
+        z = z - grad
         z[0] = anchor_n
 
 
@@ -321,15 +359,15 @@ def wirtinger_flow_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> I
 def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> IterateTrace:
     """Exact solve by exhaustive search over root selections.
 
-    ambiguity.anchored_solutions sums every selection's root log-moduli,
+    ambiguity.first_anchored_row sums every selection's root log-moduli,
     checks only the selections whose sum falls in the anchor's window
-    against the anchor exactly, and expands the survivors. Returns the
-    first anchor-consistent selection in choice-vector order as a
+    against the anchor exactly, and expands the first survivor. Returns
+    that first anchor-consistent selection in choice-vector order as a
     single-iterate trace. NoFeasibleSolution propagates when the anchor
     rules every selection out; the enumeration budget applies.
     """
     del cfg
-    out = ambiguity.anchored_solutions(inst.pairing, inst.anchor).rows[0].copy()
+    out = ambiguity.first_anchored_row(inst.pairing, inst.anchor)
     out[0] = inst.anchor
     found = ComplexSignal(out)
     loss = amplitude_loss(found, inst.grid)

@@ -144,13 +144,13 @@ def find_roots(p: PolyCoeffs) -> np.ndarray:
 
     Companion-matrix eigenvalues (LAPACK balances the matrix) followed by
     up to five Newton polish steps, each kept only when it lowers the
-    residual. Every returned root must satisfy
-    |p(root)| <= TAU_ROOT * max|c| * max(1, |root|)^D, compared as D-th
-    roots so that the bound cannot overflow for large roots. Each step
-    keeps the polynomial value of every root it keeps, so the residual
-    costs no further evaluation. OverflowBeyondPrecision when the
-    companion matrix, coefficients over the leading one, leaves double
-    range.
+    residual; the polish stops after the first step that lowers none.
+    Every returned root must satisfy |p(root)| <= TAU_ROOT * max|c| *
+    max(1, |root|)^D, compared as D-th roots so that the bound cannot
+    overflow for large roots. Each step keeps the polynomial value of
+    every root it keeps, so the residual costs no further evaluation.
+    OverflowBeyondPrecision when the companion matrix, coefficients over
+    the leading one, leaves double range.
     """
     d = p.degree
     if d == 0:
@@ -170,6 +170,8 @@ def find_roots(p: PolyCoeffs) -> np.ndarray:
         cand = roots - step
         cv = np.polyval(desc, cand)
         better = np.abs(cv) < np.abs(pv)
+        if not better.any():  # roots and pv unchanged: every later step repeats this one
+            break
         roots = np.where(better, cand, roots)
         pv = np.where(better, cv, pv)
     resid = np.abs(pv)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -341,6 +342,27 @@ def test_bench_summary_reports_failed_runs(capsys):
     wf_done = [int(ln.split(",")[2]) for ln in out.splitlines()[1:] if ",wf," in ln and ln not in failed_rows]
     assert len(wf_done) == 1
     assert f"mean iters {sum(wf_done) / len(wf_done):.1f}," in summary["wf"]
+
+
+# sha256 of the CSVs of both bench suites. ER and HIO run all 300
+# iterations; 11 of the random suite's 12 WF runs end early in StepDiverged.
+BENCH_CSV_SHA256 = {
+    ("--suite", "hard", "--sizes", "3,4,5", "--trials", "6", "--iters", "300"):
+        "c6a341bd50c22082fdfc08eb0933184c745c8471600496ba58782f7bc48fe72d",
+    ("--suite", "random", "--sizes", "8,12", "--trials", "6", "--solvers", "er,hio,wf"):
+        "95d705a94fa4fb7b3e07522bccad7b5453411f2fb5ee182f9c41ac8632f298fa",
+}
+
+
+@pytest.mark.parametrize("args", list(BENCH_CSV_SHA256), ids=["hard", "random"])
+def test_bench_csv_frozen(tmp_path, capsys, args):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_CSV_SHA256[args]
+    if "random" in args:
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows if r[2:] == ["0", "nan", "false"]] == ["wf"] * 11
 
 
 def test_bench_zero_trials_header_only(capsys):

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from conftest import pairing_of_signal
 
-from fprlab.ambiguity import trivial_orbit_distance
+from fprlab import ambiguity
+from fprlab.ambiguity import ANCHOR_REL_TOL, anchored_solutions, trivial_orbit_distance
 from fprlab.errors import (
     InsufficientSamples,
     NoFeasibleSolution,
@@ -303,6 +305,25 @@ def test_wf_pass_applies_the_dense_gradient():
     assert np.all(np.abs(second[1:] - want[1:]) <= 1e-12 * np.abs(want[1:]))
 
 
+@pytest.mark.parametrize("passes", [_er_passes, _hio_passes, _wf_passes])
+def test_pass_rows_own_their_memory(passes):
+    """The passes reuse their work arrays, so no yielded row may be one of
+    them: over 20 passes no two rows, nor a row and the driving field,
+    share memory, and each row keeps the bytes it had when yielded."""
+    inst = PRInstance.from_signal(random_full_support(5, 11))
+    cfg = SolverConfig(max_iters=20, step_size=1e-4, seed=3)
+    norm, setup = solvers._normalized_setup(inst, cfg)
+    rows, seen = [], []
+    for row, _ in itertools.islice(passes(inst.n, cfg, *setup), 20):
+        rows.append(row)
+        seen.append(row.tobytes())
+    assert len(rows) == 20
+    for i, row in enumerate(rows):
+        assert not np.shares_memory(row, setup[0])
+        assert not any(np.shares_memory(row, other) for other in rows[:i])
+        assert row.tobytes() == seen[i]
+
+
 def test_wirtinger_flow_descends_with_small_step():
     x = random_full_support(3, 11)
     inst = PRInstance.from_signal(x)
@@ -354,3 +375,16 @@ def test_solver_registry():
     assert set(SOLVERS) == {"er", "hio", "wf", "oracle"}
     for fn in SOLVERS.values():
         assert callable(fn)
+
+
+def test_oracle_expands_only_the_first_survivor(corpus):
+    """oracle_solve's final iterate is row 0 of anchored_solutions with
+    x(0) set to the anchor, bitwise, on every sweep embedding with 2 to 4
+    survivors and on the 16-survivor hard instance, whose full set takes
+    the block path while the oracle's one row does not."""
+    several = [(p, a) for p, a in corpus.sweep if 2 <= ambiguity._survivor_codes(p, a, ANCHOR_REL_TOL).size <= 4]
+    assert len(several) > 100
+    for pairing, anchor in several + [corpus.sixteen]:
+        want = anchored_solutions(pairing, anchor).rows[0].copy()
+        want[0] = anchor
+        assert oracle_solve(PRInstance(pairing, anchor)).final.entries.tobytes() == want.tobytes()

@@ -15,6 +15,7 @@ from fprlab.errors import (
     UnpairableRoots,
     ZeroArgument,
 )
+from fprlab.generate import random_signal
 from fprlab.reference import RootSelection, autocorr_from_pairing, signal_from_selection
 from fprlab.signal_core import (
     Autocorrelation,
@@ -284,25 +285,75 @@ def test_zero_pairing_holds_one_frozen_root_array():
     assert betas.dtype == np.complex128 and betas.tolist() == [-2.0, -1.0 / 3.0]
 
 
+def _five_step_find_roots(poly):
+    """find_roots without its early stop: all NEWTON_STEPS polish steps run.
+
+    Returns the sorted roots, or the error find_roots raises, and the steps
+    up to and including the first that lowers no residual (the steps
+    find_roots takes).
+    """
+    desc = poly.coeffs[::-1]
+    roots = np.roots(desc)
+    dp = np.polyder(desc)
+    pv = np.polyval(desc, roots)
+    taken = ztransform.NEWTON_STEPS
+    for k in range(ztransform.NEWTON_STEPS):
+        dv = np.polyval(dp, roots)
+        ok = np.abs(dv) > 0
+        cand = roots - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0)
+        cv = np.polyval(desc, cand)
+        better = np.abs(cv) < np.abs(pv)
+        if not better.any():
+            taken = min(taken, k + 1)
+        roots = np.where(better, cand, roots)
+        pv = np.where(better, cv, pv)
+    rel = np.abs(pv) / (ztransform.TAU_ROOT * np.max(np.abs(poly.coeffs)))
+    if np.any(rel ** (1.0 / poly.degree) > np.maximum(1.0, np.abs(roots))):
+        return NonConvergence, taken
+    return roots[np.lexsort((roots.imag, roots.real))], taken
+
+
 def test_find_roots_polish_evaluates_each_value_once(monkeypatch):
     """The polish keeps each accepted candidate's value, so the residual
     gate reads it instead of evaluating the polynomial again: 1 + 2 per
-    Newton step, and the roots are those of the per-step reference."""
+    Newton step taken. This draw stops after its third step, the first
+    that lowers no residual, and its roots are those of all five steps."""
     rng = np.random.default_rng(5)
     poly = PolyCoeffs(rng.standard_normal(13) + 1j * rng.standard_normal(13))
-    desc = poly.coeffs[::-1]
-    roots = np.roots(desc)
-    for _ in range(ztransform.NEWTON_STEPS):
-        pv, dv = np.polyval(desc, roots), np.polyval(np.polyder(desc), roots)
-        cand = roots - np.where(np.abs(dv) > 0, pv / np.where(np.abs(dv) > 0, dv, 1.0), 0.0)
-        roots = np.where(np.abs(np.polyval(desc, cand)) < np.abs(pv), cand, roots)
-    want = roots[np.lexsort((roots.imag, roots.real))]
+    want, taken = _five_step_find_roots(poly)
+    assert taken == 3 < ztransform.NEWTON_STEPS
     calls = []
     polyval = np.polyval
     monkeypatch.setattr(np, "polyval", lambda c, x: calls.append(1) or polyval(c, x))
     got = find_roots(poly)
-    assert len(calls) == 1 + 2 * ztransform.NEWTON_STEPS
+    assert len(calls) == 1 + 2 * taken
     assert got.tobytes() == want.tobytes()
+
+
+def test_find_roots_early_stop_matches_five_steps(corpus):
+    """Stopping the polish at the first step that lowers no residual gives
+    bitwise the roots of all five steps: on the S polynomial of each
+    distinct corpus pairing (every 8th of the sweep's 3860 embeddings) and
+    of 30 sampled signals at each N = 10..14."""
+    pairings = {}
+    for kind in ("generic", "closable", "near"):
+        pairings.update((id(p), p) for p, _ in getattr(corpus, kind))
+    pairings.update((id(p), p) for p, _ in corpus.sweep[::8] + [corpus.sixteen, corpus.flagged])
+    polys = [build_S_poly(autocorr_from_pairing(p)) for p in pairings.values() if p.n_pairs]
+    rng = np.random.default_rng(23)
+    for n in range(10, 15):
+        for _ in range(30):
+            polys.append(build_S_poly(autocorrelation(random_signal(n, rng))))
+    stopped = 0
+    for poly in polys:
+        want, taken = _five_step_find_roots(poly)
+        stopped += taken < ztransform.NEWTON_STEPS
+        if want is NonConvergence:
+            with pytest.raises(NonConvergence):
+                find_roots(poly)
+        else:
+            assert find_roots(poly).tobytes() == want.tobytes()
+    assert stopped > len(polys) // 4  # the early stop is taken, not just allowed
 
 
 @given(signals_with_clean_roots())
