@@ -15,9 +15,9 @@ compares:
 - ``scripts/decision_sweep.py`` output without its wall column;
 - the stdout, stderr, exit code and ``--out`` file of every ``fprlab``
   call in the working tree's CI step "Installed fprlab command". The
-  step runs to its end under bash (not stopping at a failed line),
-  through a shim that calls ``fprlab.cli:main`` as the console script
-  does, so no installed command is needed.
+  step runs to its end under bash (not stopping at a failed line or at
+  an ``exit``), through a shim that calls ``fprlab.cli:main`` as the
+  console script does, so no installed command is needed.
 
 Prints one line per check, ``same`` or ``differs`` with the first
 differing line, and exits 1 on any difference. The two trees run side
@@ -152,7 +152,9 @@ class Tree:
         shim.write_text(SHIM.format(python=sys.executable, src=str(self.root / "src"), log=str(log)))
         shim.chmod(0o755)
         env = dict(self.env, PATH=f"{bindir}{os.pathsep}{self.env.get('PATH', '')}")
-        subprocess.run(["bash", "-c", script], cwd=work, env=env, capture_output=True, text=True)
+        # a no-op exit lets a guard that fails in one tree (an exit 1 after a
+        # grep) leave that tree's later calls in the comparison
+        subprocess.run(["bash", "-c", "exit() { :; }\n" + script], cwd=work, env=env, capture_output=True, text=True)
         calls = []
         for line in log.read_text(encoding="utf-8").splitlines() if log.exists() else []:
             call = json.loads(line)

@@ -25,7 +25,12 @@ after the first pass whose loss is <= loss_tol (converged) or after
 max_iters + 1 passes, that is max_iters updates, whichever comes first.
 A generator allocates its work arrays once per run and writes every FFT
 and ufunc result into them through out=; each row it yields is a new
-array that no later pass writes.
+array that no later pass writes. The transforms call numpy's pocketfft
+gufuncs (_fft, _ifft) with the factor numpy.fft's wrappers pass them:
+1 forward, 1/M inverse. The wrappers' Python argument handling costs
+more than a 12- to 48-point transform itself, and each pass makes two
+or three transforms. The gufunc zero-pads an input shorter than its out
+array, as fft(a, n=M) does, and its output is bitwise the wrapper's.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
+from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 from .errors import StepDiverged
 from .signal_core import (
@@ -263,11 +269,12 @@ def _er_passes(n, cfg, field, target, anchor_n, r0):
     m = field.size
     fh, ph = np.empty(m, np.complex128), np.empty(m, np.complex128)
     mags, d, pos = np.empty(m), np.empty(m), np.empty(m, bool)
+    inv = 1.0 / m
     while True:
-        np.fft.fft(field, out=fh)
+        _fft(field, 1.0, out=fh)
         yield field[:n].copy(), r0 * _amplitude_misfit(fh, target, mags, d)
         _mag_project(fh, target, mags, pos, ph)
-        np.fft.ifft(ph, out=fh)
+        _ifft(ph, inv, out=fh)
         field[:n] = fh[:n]
         field[0] = anchor_n
 
@@ -288,14 +295,15 @@ def _hio_passes(n, cfg, field, target, anchor_n, r0):
     m = field.size
     fh, ph, w = np.empty(m, np.complex128), np.empty(m, np.complex128), np.empty(m, np.complex128)
     mags, d, pos = np.empty(m), np.empty(m), np.empty(m, bool)
+    inv = 1.0 / m
     while True:
-        np.fft.fft(field, out=fh)
+        _fft(field, 1.0, out=fh)
         np.abs(fh, out=mags)
         _mag_project(fh, target, mags, pos, ph)
-        np.fft.ifft(ph, out=w)
+        _ifft(ph, inv, out=w)
         rep = w[:n].copy()
         rep[0] = anchor_n
-        np.fft.fft(rep, n=m, out=fh)
+        _fft(rep, 1.0, out=fh)
         yield rep, r0 * _amplitude_misfit(fh, target, mags, d)
         # the feedback reads field[0] and field[n:] before they are overwritten
         head = field[0] - beta * (w[0] - anchor_n)
@@ -325,9 +333,10 @@ def _wf_passes(n, cfg, field, target, anchor_n, r0):
     z = field[:n].copy()
     zh, g = np.empty(m, np.complex128), np.empty(m, np.complex128)
     diff, d2 = np.empty(m), np.empty(m)
+    inv = 1.0 / m
     loss0 = None
     while True:
-        np.fft.fft(z, n=m, out=zh)
+        _fft(z, 1.0, out=zh)
         np.abs(zh, out=diff)
         np.square(diff, out=diff)
         np.subtract(diff, r_target, out=diff)
@@ -339,7 +348,7 @@ def _wf_passes(n, cfg, field, target, anchor_n, r0):
             raise StepDiverged(f"intensity loss reached {loss_n:.3e} from {loss0:.3e}")
         yield z, r0 ** 2 * loss_n
         np.multiply(diff, zh, out=g)
-        np.fft.ifft(g, out=zh)
+        _ifft(g, inv, out=zh)
         grad = zh[:n]
         np.multiply(4.0 * m, grad, out=grad)
         np.multiply(cfg.step_size, grad, out=grad)

@@ -150,7 +150,7 @@ def find_roots(p: PolyCoeffs) -> np.ndarray:
     overflow for large roots. Each step keeps the polynomial value of
     every root it keeps, so the residual costs no further evaluation.
     OverflowBeyondPrecision when the companion matrix, coefficients over
-    the leading one, leaves double range.
+    the leading one, or a root's polynomial value leaves double range.
     """
     d = p.degree
     if d == 0:
@@ -162,20 +162,28 @@ def find_roots(p: PolyCoeffs) -> np.ndarray:
     except FloatingPointError as exc:
         raise OverflowBeyondPrecision(f"the companion matrix leaves double range ({exc})") from None
     dp = np.polyder(desc)
-    pv = np.polyval(desc, roots)
-    for _ in range(NEWTON_STEPS):
-        dv = np.polyval(dp, roots)
-        ok = np.abs(dv) > 0
-        step = np.where(ok, pv / np.where(ok, dv, 1.0), 0.0)
-        cand = roots - step
-        cv = np.polyval(desc, cand)
-        better = np.abs(cv) < np.abs(pv)
-        if not better.any():  # roots and pv unchanged: every later step repeats this one
-            break
-        roots = np.where(better, cand, roots)
-        pv = np.where(better, cv, pv)
-    resid = np.abs(pv)
-    rel = resid / (TAU_ROOT * np.max(np.abs(p.coeffs)))
+    # a value past double range comes out inf or nan: such a candidate is
+    # never better, and a root left with one is refused below, so numpy's
+    # warnings would only repeat that refusal
+    with np.errstate(over="ignore", invalid="ignore"):
+        pv = np.polyval(desc, roots)
+        for _ in range(NEWTON_STEPS):
+            dv = np.polyval(dp, roots)
+            ok = np.abs(dv) > 0
+            step = np.where(ok, pv / np.where(ok, dv, 1.0), 0.0)
+            cand = roots - step
+            cv = np.polyval(desc, cand)
+            better = np.abs(cv) < np.abs(pv)
+            if not better.any():  # roots and pv unchanged: every later step repeats this one
+                break
+            roots = np.where(better, cand, roots)
+            pv = np.where(better, cv, pv)
+        resid = np.abs(pv)
+        rel = resid / (TAU_ROOT * np.max(np.abs(p.coeffs)))
+    if not np.isfinite(resid).all():
+        raise OverflowBeyondPrecision(
+            f"the polynomial's value at a root leaves double range (largest |root| {float(np.abs(roots).max()):.3e})"
+        )
     if np.any(rel ** (1.0 / d) > np.maximum(1.0, np.abs(roots))):
         raise NonConvergence(
             f"residual {float(resid.max()):.3e} exceeds bound after polish; coeffs={p.coeffs!r}"

@@ -14,6 +14,7 @@ from fprlab.errors import (
     OverflowBeyondPrecision,
     StepDiverged,
 )
+from fprlab.generate import planted_retrieval
 from fprlab.signal_core import ComplexSignal, SpectrumSamples, autocorrelation, fourier_intensity, uniform_grid
 from fprlab import solvers
 from fprlab.solvers import (
@@ -322,6 +323,47 @@ def test_pass_rows_own_their_memory(passes):
         assert not np.shares_memory(row, setup[0])
         assert not any(np.shares_memory(row, other) for other in rows[:i])
         assert row.tobytes() == seen[i]
+
+
+def test_bound_kernels_match_numpy_fft_bitwise():
+    """The passes call numpy's pocketfft gufuncs with the factor np.fft
+    passes them; their outputs must be bitwise np.fft's at every M in
+    1..64, primes included, and for the zero-padded forward transforms
+    at every input length shorter than M. A numpy whose private module
+    moves or changes fails here instead of moving results silently."""
+    rng = np.random.default_rng(41)
+    for m in range(1, 65):
+        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        out = np.empty(m, np.complex128)
+        solvers._fft(a, 1.0, out=out)
+        assert out.tobytes() == np.fft.fft(a).tobytes(), m
+        solvers._ifft(a, 1.0 / m, out=out)
+        assert out.tobytes() == np.fft.ifft(a).tobytes(), m
+        for k in range(1, m):
+            solvers._fft(a[:k], 1.0, out=out)
+            assert out.tobytes() == np.fft.fft(a[:k], n=m).tobytes(), (m, k)
+
+
+def test_passes_do_not_call_the_numpy_fft_wrappers(monkeypatch):
+    """ER, HIO and WF run their transforms on the bound kernels alone: with
+    np.fft.fft and np.fft.ifft made to raise, each still runs on a planted
+    instance and gives bitwise the trace it gives without the patch."""
+    hard, _ = planted_retrieval(3, np.random.default_rng(2))
+    inst = hard.pr
+    cfg = SolverConfig(max_iters=30, step_size=1e-4, seed=1)
+    solves = (error_reduction_solve, hio_solve, wirtinger_flow_solve)
+    want = [solve(inst, cfg) for solve in solves]
+
+    def wrapper_called(*args, **kwargs):
+        raise AssertionError("np.fft wrapper called")
+
+    monkeypatch.setattr(np.fft, "fft", wrapper_called)
+    monkeypatch.setattr(np.fft, "ifft", wrapper_called)
+    for solve, ref in zip(solves, want):
+        tr = solve(inst, cfg)
+        assert len(tr.iterates) == len(ref.iterates) > 1
+        assert tr.losses.tobytes() == ref.losses.tobytes()
+        assert all(a.entries.tobytes() == b.entries.tobytes() for a, b in zip(tr.iterates, ref.iterates))
 
 
 def test_wirtinger_flow_descends_with_small_step():
