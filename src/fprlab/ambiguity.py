@@ -4,11 +4,19 @@ All 2^(N-1) root selections of a pairing share one Fourier intensity.
 Modding out global phase, translation and conjugate reflection leaves
 2^(N-2) genuinely different signals; an anchor value x(0) cuts the set
 down further, generically to a single survivor.
+
+Selections are expanded in C-ordered blocks, a row per coefficient and a
+column per code, so every numpy loop runs along codes. The blocks and
+their scratch are views of one float64 workspace per thread, which grows
+to the largest request (4.5 MB at the 24-pair budget) and never
+shrinks. No view of it is returned: each call's rows are a new array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -134,25 +142,90 @@ def _residuals(pairs: np.ndarray, codes: np.ndarray, target: complex) -> np.ndar
         raise OverflowBeyondPrecision(f"a root product leaves double range ({exc})") from None
 
 
-def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi) -> None:
+def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi, scratch: np.ndarray) -> None:
     """Multiply the coefficient columns (re, im), k factors in, by (z + w), in place.
 
     Bitwise np.poly: with w = -beta, coefficient j becomes a[j-1]*w + a[j],
     and the lines below spell out the real operations in the order
     np.convolve's complex dot (OpenBLAS zdotu) performs them,
-    re: (pr*wr + cr) - pi*wi and im: pr*wi + (pi*wr + ci), through three
-    temporaries.
+    re: (pr*wr + cr) - pi*wi and im: pr*wi + (pi*wr + ci). wr and wi are
+    one root per column or one Python-float root for every column. The
+    flat scratch holds the two partial results that must outlive the rows
+    they are read from, twice the size of re[: k + 1]; nothing is allocated.
     """
-    pr, pi = re[: k + 1], im[: k + 1]
-    nr = pr * wr
-    nr += re[1 : k + 2]
-    t = pi * wi
-    nr -= t
+    pr, pi, cr, ci = re[: k + 1], im[: k + 1], re[1 : k + 2], im[1 : k + 2]
+    a, t = scratch[: 2 * pr.size].reshape(2, *pr.shape)
+    np.multiply(pr, wi, out=a)
+    np.multiply(pr, wr, out=t)
+    t += cr
+    np.multiply(pi, wi, out=cr)  # pr is read for the last time above
+    np.subtract(t, cr, out=cr)
     np.multiply(pi, wr, out=t)
-    t += im[1 : k + 2]
-    ni = pr * wi
-    ni += t
-    re[1 : k + 2], im[1 : k + 2] = nr, ni
+    t += ci
+    np.add(a, t, out=ci)
+
+
+class _Workspace(threading.local):
+    """_expand's scratch in each thread: one flat float64 array, grown to
+    the largest request and never shrunk, handed out as views.
+
+    At the 24-pair budget it is 4.5 MB. Its views never leave
+    _expand, and every value in them is written before it is read.
+    """
+
+    def __init__(self):
+        self.buf = np.empty(0)
+
+    def views(self, *sizes: int) -> list:
+        """Consecutive flat views of the array with these sizes, growing it first if need be."""
+        if self.buf.size < sum(sizes):
+            self.buf = np.empty(sum(sizes))
+        return [self.buf[end - size : end] for end, size in zip(itertools.accumulate(sizes), sizes)]
+
+
+_WORKSPACE = _Workspace()
+
+
+def _prefix_table(pairs: np.ndarray, b: int, bufs: tuple, mag: np.ndarray) -> np.ndarray:
+    """Coefficients of the products of the first b factors for all 2^b
+    low codes, in code order, as a (2, b + 1, 2, 2^(b-1)) view: the real
+    and imaginary planes, a row per coefficient, then the codes with bit
+    b - 1 clear and with it set (b = 0: the empty product, (2, 1, 1, 1)).
+    mag[: 2^b] gets the products of their root moduli, in pair order.
+
+    By doubling: level k, over h = 2^k codes, writes the flat array
+    bufs[k % 2]. Both halves start as copies of the table so far, with a
+    zero row for the new coefficient; the first half (bit k clear) takes
+    gamma_recip, the second gamma. The other array held the table so far,
+    so it is the level's _factor_in scratch. Below 64 codes a half, one
+    _factor_in call takes both halves, each root broadcast along its
+    half. From 64 on each half is a contiguous block of its own, factored
+    with its one Python-float root: numpy's scalar loops run about twice
+    as fast, and the scratch needs half the columns.
+    """
+    roots, neg, flip = pairs.tolist(), -pairs[:, ::-1, None], np.abs(pairs)[:, ::-1, None]
+    table = bufs[1][:2].reshape(2, 1, 1, 1)
+    table[:, 0, 0, 0], mag[0] = (1.0, 0.0), 1.0
+    for k in range(b):  # table: (2, k + 1, ...) in code order, its last axis table.shape[3] long
+        h = 1 << k
+        new, free, halves = bufs[k % 2][: 4 * (k + 2) * h], bufs[1 - k % 2], mag[: 2 * h].reshape(2, h)
+        halves[1] = halves[0]
+        if h < 64:  # (2, k + 2, 2, h): code order
+            new = new.reshape(2, k + 2, 2, h)
+            new.reshape(2, k + 2, 2, -1, table.shape[3])[:, : k + 1] = table[:, :, None]
+            new[:, k + 1] = 0.0
+            _factor_in(new[0], new[1], k, neg[k].real, neg[k].imag, free)
+            halves *= flip[k]
+            table = new
+        else:  # (2, 2, k + 2, h): half by half
+            new = new.reshape(2, 2, k + 2, h)
+            new.reshape(2, 2, k + 2, -1, table.shape[3])[:, :, : k + 1] = table
+            new[:, :, k + 1] = 0.0
+            for i, z in enumerate(roots[k][::-1]):
+                _factor_in(new[i, 0], new[i, 1], k, -z.real, -z.imag, free)
+                halves[i] *= flip[k, i, 0]
+            table = new.transpose(1, 2, 0, 3)
+    return table
 
 
 def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> np.ndarray:
@@ -161,16 +234,23 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> np.ndarray
 
     Bitwise equal to that reference. After k factors a code's partial
     product depends only on its low k bits, so the products of the first b
-    factors are built once for all 2^b low codes, in place by doubling
-    (bit k clear takes gamma_recip, set takes gamma), beside the products
-    of their root moduli in pair order; each block of codes starts from
-    that table and multiplies in the other p - b factors. The codes are
-    increasing and distinct, as every caller passes them, so 2^p of them
-    are every code in order: then b = min(p, RESIDUAL_BLOCK_BITS), and at
-    b = p the table is the block itself and nothing is copied. Fewer codes
-    take b = 0, a table of one empty product. Rows whose roots are closed
-    under conjugation get np.poly's real branch; no row can be unless some
-    root's conjugate is a root of the pairing.
+    factors are built once for all 2^b low codes (_prefix_table), beside
+    the products of their root moduli in pair order; each block of codes
+    starts from that table and multiplies in the other p - b factors. The
+    codes are increasing and distinct, as every caller passes them, so 2^p
+    of them are every code in order: then b = min(p, RESIDUAL_BLOCK_BITS).
+    At b = p the table is the block itself and nothing is copied; past
+    that, each block of 2^b codes shares one high code, so its factors
+    are Python-float roots. Fewer codes take b = 0: the one empty product
+    is broadcast into each block, and each code has its own roots. Rows
+    whose roots are closed under conjugation get np.poly's real branch;
+    no row can be unless some root's conjugate is a root of the pairing.
+
+    The table, the block and the scratch are C-ordered views of the
+    thread's _WORKSPACE, and every factor runs along rows of codes, not
+    along a code's few coefficients. A full enumeration allocates nothing
+    of the block's size but the rows it returns; only per-code roots
+    (b = 0, or the real-branch test) are still built block by block.
 
     Up to _SMALL_ROWS codes (4) take _expand_small instead: the same
     arithmetic per row in Python floats, without the table and the ~10
@@ -186,37 +266,43 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> np.ndarray
         _apply_gain(out, np.array(mag), pairing.scale, alpha)
         return out
     b = min(p, RESIDUAL_BLOCK_BITS) if codes.size == 1 << p else 0
-    width = 1 << b
-    re, im, mag = np.zeros((p + 1, width)), np.zeros((p + 1, width)), np.ones(width)
-    re[0] = 1.0
-    for k in range(b):
-        h = 1 << k
-        re[: k + 1, h : 2 * h], im[: k + 1, h : 2 * h], mag[h : 2 * h] = re[: k + 1, :h], im[: k + 1, :h], mag[:h]
-        w = -np.repeat(pairs[k, ::-1], h)
-        _factor_in(re[:, : 2 * h], im[:, : 2 * h], k, w.real, w.imag)
-        mag[: 2 * h] *= np.abs(w)
+    width, cols = 1 << b, min(codes.size, 1 << RESIDUAL_BLOCK_BITS) if b < p else 0
+    # the table's levels alternate between last and before, which also
+    # holds the last level's scratch: twice as wide unless it is in halves
+    last, before, table_mag, block_buf, block_mag, scratch = _WORKSPACE.views(
+        2 * (b + 1) * width, b * width << (width < 128), width, 2 * (p + 1) * cols, cols, 2 * p * cols
+    )
+    table = _prefix_table(pairs, b, (last, before) if b % 2 else (before, last), table_mag)
+    roots, mods = pairs.tolist(), np.abs(pairs).tolist()
     out = np.empty((codes.size, p + 1), np.complex128)
     for lo, hi in _blocks(codes.size):
         block = codes[lo:hi]
         if b == p:  # the table holds every code, in order
-            br, bi, bm = re, im, mag
+            (br, bi), bm = table, table_mag
         else:
-            low = block & (width - 1)
-            br, bi, bm = re[:, low], im[:, low], mag[low]
-        if b < p:
-            high = _picked_roots(pairs[b:], block >> b)  # the roots of pairs b..p-1
-            wr, wi = -high.real.T, -high.imag.T
-            for k in range(b, p):
-                _factor_in(br, bi, k, wr[k - b], wi[k - b])
-            mw = np.abs(high)
-            mw[:, 0] *= bm  # np.prod then multiplies bm by the moduli in pair order
-            bm = np.prod(mw, axis=1)
+            blk = block_buf[: 2 * (p + 1) * block.size].reshape(2, p + 1, 1, block.size)
+            np.copyto(blk.reshape(2, p + 1, -1, table.shape[3])[:, : b + 1], table)  # b = 0 broadcasts
+            blk[:, b + 1 :] = 0.0
+            (br, bi), bm = blk, block_mag[: block.size]
+            np.copyto(bm, table_mag)
+            if b:  # one high code: a Python-float root per pair
+                picks = [(k, 1 - (lo >> k & 1)) for k in range(b, p)]
+                factors = [(-roots[k][c].real, -roots[k][c].imag) for k, c in picks]
+                moduli = [mods[k][c] for k, c in picks]
+            else:  # a root per code, pair by pair along rows
+                high = _picked_roots(pairs, block)
+                w = np.ascontiguousarray(high.T)
+                factors, moduli = zip(-w.real, -w.imag), np.abs(w)
+            for k, (wr, wi), m in zip(range(b, p), factors, moduli):
+                _factor_in(br, bi, k, wr, wi, scratch)
+                bm *= m  # in pair order, as signal_from_selection's np.prod
         if closable:
             betas = high if b == 0 else _picked_roots(pairs, block)
-            bi[:, np.all(np.sort(betas, axis=1) == np.sort(betas.conj(), axis=1), axis=1)] = 0.0
-        rows = out[lo:hi]
-        rows.real, rows.imag = br.T, bi.T
-        _apply_gain(rows, bm, pairing.scale, alpha)
+            real = np.all(np.sort(betas, axis=1) == np.sort(betas.conj(), axis=1), axis=1)
+            bi[:, real.reshape(bi.shape[1:])] = 0.0
+        rows = out[lo:hi].reshape(*br.shape[1:], p + 1)
+        rows.real, rows.imag = br.transpose(1, 2, 0), bi.transpose(1, 2, 0)
+        _apply_gain(rows, bm.reshape(br.shape[1:]), pairing.scale, alpha)
     return out
 
 
@@ -259,7 +345,7 @@ def _re_im(z: complex) -> tuple:
 def _apply_gain(rows: np.ndarray, mag: np.ndarray, scale: complex, alpha: float) -> None:
     """Scale each row by e^(i alpha) sqrt|scale| / sqrt(its root-modulus product), in place."""
     gain = np.exp(1j * alpha) * (np.sqrt(abs(scale)) / np.sqrt(mag))
-    np.multiply(gain[:, None], rows, out=rows)
+    np.multiply(gain[..., None], rows, out=rows)
 
 
 def enumerate_solutions(pairing: ZeroPairing) -> SolutionSet:

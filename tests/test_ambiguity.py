@@ -1,6 +1,8 @@
 import ast
 import itertools
 import pathlib
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -455,6 +457,28 @@ def test_enumeration_matches_per_selection_reference(corpus):
             assert got[v][1].entries.tobytes() == ref.entries.tobytes()
 
 
+def test_enumeration_past_one_high_factor_matches_reference(corpus):
+    """Past 13 pairs every block multiplies two or three high factors
+    into the prefix table, one Python-float root per pair, in pair order.
+    Rows of the corpus's 14- and 15-pair generic pairings and of a
+    15-pair pairing of real roots (np.poly's real branch in every row)
+    equal signal_from_selection bit for bit: a stride of 97 codes, the
+    last code, and both codes at every block boundary."""
+    us = 2.0 + 0.25 * np.arange(15)
+    cases = [pairing for pairing, _ in corpus.generic[::2] if pairing.n_pairs in (14, 15)]
+    assert {pairing.n_pairs for pairing in cases} == {14, 15}
+    cases.append(ZeroPairing(float(np.prod(us)), tuple((-u, -1.0 / u) for u in us)))
+    step = 1 << ambiguity.RESIDUAL_BLOCK_BITS
+    for pairing in cases:
+        p = pairing.n_pairs
+        edges = [c for lo in range(step, 1 << p, step) for c in (lo - 1, lo)]
+        got = enumerate_solutions(pairing).rows
+        for v in sorted({*range(0, 1 << p, 97), *edges, (1 << p) - 1}):
+            choices = tuple(bool((v >> k) & 1) for k in range(p))
+            ref = signal_from_selection(RootSelection(pairing, choices))
+            assert got[v].tobytes() == ref.entries.tobytes(), (p, v)
+
+
 def test_large_root_pairs_off_the_unit_circle():
     """[1, t] has roots -t and -1/t. pair_tolerance(-1/t) grows like 1/t^2;
     measured against it rather than at unit scale, every |1/t| past ~1e6
@@ -629,6 +653,52 @@ def test_enumeration_bytes_per_selection():
             tracemalloc.stop()
         assert len(sols.solutions) == 1 << p
         assert peak < bound * (1 << p) * (16 * (p + 1) + 8)
+
+
+def test_warm_enumeration_allocates_only_what_it_keeps():
+    """A second enumeration of the same pairing in a thread reuses that
+    thread's workspace: its peak allocation stays under 1.6 times the
+    bytes the set keeps at 11 pairs and under 1.3 times at 13 pairs.
+    A table allocated per call exceeds both bounds, and a block or its
+    scratch (13 pairs take one high factor) exceeds the second."""
+    for n, bound in ((12, 1.6), (14, 1.3)):
+        _, pairing = pairing_of_signal(random_signal(n, np.random.default_rng(16)))
+        p = pairing.n_pairs
+        enumerate_solutions(pairing)
+        tracemalloc.start()
+        try:
+            sols = enumerate_solutions(pairing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sols.solutions) == 1 << p
+        assert peak < bound * (1 << p) * (16 * (p + 1) + 8), (p, peak)
+
+
+def test_enumeration_threads_keep_their_own_workspace():
+    """Four threads, two per pairing (11 and 13 pairs), each enumerate
+    their pairing 20 times at once, with the interpreter switching threads
+    every microsecond: every set is bitwise the single-thread one."""
+    pairings = [pairing_of_signal(random_signal(n, np.random.default_rng(16)))[1] for n in (12, 14)]
+    want = [enumerate_solutions(pairing).rows.tobytes() for pairing in pairings]
+    results = [[] for _ in range(4)]
+
+    def run(i):
+        for _ in range(20):
+            results[i].append(enumerate_solutions(pairings[i % 2]).rows.tobytes() == want[i % 2])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[True] * 20] * 4
 
 
 def test_reference_paths_stay_out_of_the_runtime():
