@@ -11,6 +11,7 @@ of the pipeline: autocorrelation in, ZeroPairing out.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +139,27 @@ def build_S_poly(r: Autocorrelation) -> PolyCoeffs:
     return PolyCoeffs(asc)
 
 
+def _horner_pass(rows, z: np.ndarray, pts: np.ndarray, vals: np.ndarray):
+    """p and p' at the k points z in one Horner loop; returns views (p(z), p'(z)) into vals.
+
+    pts and vals are (2k,) buffers. pts holds z twice, and row i of rows
+    holds p's coefficient of power D - i over its first k entries and p''s
+    over its last k (0 in row 0, p' having degree D - 1). Each value takes
+    np.polyval's operations in its order (y = y * x + c from y = 0), and
+    numpy's complex multiply gives the same bits at any position of an
+    array, so each is bitwise np.polyval's (the roots-stage differential
+    test in tests/test_ztransform.py checks this on each numpy it runs on).
+    """
+    k = z.size
+    pts[:k] = z
+    pts[k:] = z
+    vals.fill(0)
+    for row in rows:
+        np.multiply(vals, pts, out=vals)
+        np.add(vals, row, out=vals)
+    return vals[:k], vals[k:]
+
+
 def find_roots(p: PolyCoeffs) -> np.ndarray:
     """All complex roots with multiplicity (none for a nonzero constant),
     lexicographically sorted by (re, im).
@@ -147,8 +169,11 @@ def find_roots(p: PolyCoeffs) -> np.ndarray:
     residual; the polish stops after the first step that lowers none.
     Every returned root must satisfy |p(root)| <= TAU_ROOT * max|c| *
     max(1, |root|)^D, compared as D-th roots so that the bound cannot
-    overflow for large roots. Each step keeps the polynomial value of
-    every root it keeps, so the residual costs no further evaluation.
+    overflow for large roots. One Horner pass evaluates p and p' together
+    at the same points, bitwise the values of np.polyval: one pass at the
+    eigenvalues, then one per step at its candidates. Each step keeps the
+    values of every root it keeps, so the next step and the residual cost
+    no further evaluation.
     OverflowBeyondPrecision when the companion matrix, coefficients over
     the leading one, or a root's polynomial value leaves double range.
     """
@@ -161,23 +186,30 @@ def find_roots(p: PolyCoeffs) -> np.ndarray:
             roots = np.roots(desc)
     except FloatingPointError as exc:
         raise OverflowBeyondPrecision(f"the companion matrix leaves double range ({exc})") from None
-    dp = np.polyder(desc)
+    k = roots.size
+    # Horner rows for p and p' side by side; see _horner_pass
+    coef = np.zeros((d + 1, 2, k), np.complex128)
+    coef[:, 0] = desc[:, None]
+    coef[1:, 1] = np.polyder(desc)[:, None]
+    rows = list(coef.reshape(d + 1, 2 * k))
+    pts = np.empty(2 * k, np.complex128)
+    vals = np.empty(2 * k, np.complex128)
     # a value past double range comes out inf or nan: such a candidate is
     # never better, and a root left with one is refused below, so numpy's
     # warnings would only repeat that refusal
     with np.errstate(over="ignore", invalid="ignore"):
-        pv = np.polyval(desc, roots)
+        pv, dv = (v.copy() for v in _horner_pass(rows, roots, pts, vals))
         for _ in range(NEWTON_STEPS):
-            dv = np.polyval(dp, roots)
             ok = np.abs(dv) > 0
             step = np.where(ok, pv / np.where(ok, dv, 1.0), 0.0)
             cand = roots - step
-            cv = np.polyval(desc, cand)
+            cv, dcand = _horner_pass(rows, cand, pts, vals)
             better = np.abs(cv) < np.abs(pv)
             if not better.any():  # roots and pv unchanged: every later step repeats this one
                 break
             roots = np.where(better, cand, roots)
             pv = np.where(better, cv, pv)
+            dv = np.where(better, dcand, dv)
         resid = np.abs(pv)
         rel = resid / (TAU_ROOT * np.max(np.abs(p.coeffs)))
     if not np.isfinite(resid).all():
@@ -191,28 +223,49 @@ def find_roots(p: PolyCoeffs) -> np.ndarray:
     return roots[np.lexsort((roots.imag, roots.real))]
 
 
+def _pair_residual(g: complex, h: complex) -> float:
+    """|g * conj(h) - 1| in Python complex; inf where the modulus of finite
+    parts passes double range, as np.abs gives it (abs raises OverflowError)."""
+    try:
+        return abs(g * h.conjugate() - 1.0)
+    except OverflowError:
+        return math.inf
+
+
 def pair_roots(roots, scale: complex) -> ZeroPairing:
     """Greedily group a root multiset into conjugate-reciprocal partners.
 
     Roots are sorted lexicographically and matched first-unmatched-first
-    against the partner minimizing |gamma * conj(partner) - 1|, so the
-    outcome is deterministic. Off-circle pairs store the larger-modulus
-    member as gamma. Unit-circle roots must pair with a second copy of
-    themselves; the self-pair is projected onto the circle exactly.
+    against the partner minimizing |gamma * conj(partner) - 1|, the first
+    such partner on a tie, so the outcome is deterministic. Off-circle
+    pairs store the larger-modulus member as gamma. Unit-circle roots must
+    pair with a second copy of themselves; the self-pair is projected onto
+    the circle exactly, in numpy's complex128 arithmetic.
+
+    Residuals are Python complex scalars over the sorted roots' list. A
+    residual whose modulus passes double range counts as inf, so it loses
+    to any finite one. Python's product is not fused and numpy's SIMD loops
+    may fuse theirs, so a residual can differ from np.abs(g * np.conj(h) -
+    1.0) in its last bits; only a choice between residuals that close
+    could differ from numpy's, which the roots-stage differential test in
+    tests/test_ztransform.py checks. ValueError for non-finite roots
+    (np.argmin would pick a nan residual, min does not).
     """
     arr = np.asarray(roots, dtype=np.complex128).reshape(-1)
     if arr.size % 2:
         raise ValueError("root count must be even")
     if np.any(arr == 0):
         raise ValueError("zero roots cannot occur when r(N-1) != 0")
+    if not np.isfinite(arr).all():
+        raise ValueError("roots must be finite")
     if complex(scale) == 0:
         raise DegenerateLeadingLag("pairing scale r(N-1) must be nonzero")
-    pool = list(arr[np.lexsort((arr.imag, arr.real))])
+    pool = arr[np.lexsort((arr.imag, arr.real))].tolist()
     pairs = []
     while pool:
         g = pool.pop(0)
-        resid = np.abs(g * np.conj(np.array(pool)) - 1.0)
-        j = int(np.argmin(resid))
+        resid = [_pair_residual(g, h) for h in pool]
+        j = min(range(len(resid)), key=resid.__getitem__)
         tau = pair_tolerance(g)
         if resid[j] > tau:
             if _near_unit_circle(g):
@@ -224,7 +277,7 @@ def pair_roots(roots, scale: complex) -> ZeroPairing:
             )
         h = pool.pop(j)
         if _near_unit_circle(g) and _near_unit_circle(h) and abs(g - h) <= tau * max(1.0, abs(g)):
-            mid = (g + h) / 2.0
+            mid = np.complex128(g + h) / 2.0
             mid = mid / abs(mid)
             pairs.append((mid, mid))
         else:

@@ -12,6 +12,7 @@ from fprlab.errors import (
     DegenerateLeadingLag,
     NonConvergence,
     OddUnitCircleMultiplicity,
+    OverflowBeyondPrecision,
     UnpairableRoots,
     ZeroArgument,
 )
@@ -314,19 +315,24 @@ def _five_step_find_roots(poly):
 
 
 def test_find_roots_polish_evaluates_each_value_once(monkeypatch):
-    """The polish keeps each accepted candidate's value, so the residual
-    gate reads it instead of evaluating the polynomial again: 1 + 2 per
-    Newton step taken. This draw stops after its third step, the first
-    that lowers no residual, and its roots are those of all five steps."""
+    """The polish keeps each accepted candidate's values of p and p', so
+    the next step and the residual gate read them instead of evaluating
+    again: one Horner pass for both at the eigenvalues, then one per Newton
+    step taken, and no np.polyval call. This draw stops after its third
+    step, the first that lowers no residual, and its roots are those of
+    all five steps."""
     rng = np.random.default_rng(5)
     poly = PolyCoeffs(rng.standard_normal(13) + 1j * rng.standard_normal(13))
     want, taken = _five_step_find_roots(poly)
     assert taken == 3 < ztransform.NEWTON_STEPS
-    calls = []
+    calls, passes = [], []
     polyval = np.polyval
     monkeypatch.setattr(np, "polyval", lambda c, x: calls.append(1) or polyval(c, x))
+    horner = ztransform._horner_pass
+    monkeypatch.setattr(ztransform, "_horner_pass", lambda *a: passes.append(1) or horner(*a))
     got = find_roots(poly)
-    assert len(calls) == 1 + 2 * taken
+    assert len(passes) == 1 + taken
+    assert not calls
     assert got.tobytes() == want.tobytes()
 
 
@@ -354,6 +360,122 @@ def test_find_roots_early_stop_matches_five_steps(corpus):
         else:
             assert find_roots(poly).tobytes() == want.tobytes()
     assert stopped > len(polys) // 4  # the early stop is taken, not just allowed
+
+
+_PAIRING_ERRORS = (ValueError, DegenerateLeadingLag, OddUnitCircleMultiplicity, UnpairableRoots)
+
+
+def _numpy_greedy_pair_roots(roots, scale):
+    """pair_roots with numpy scalars and arrays: each pop rebuilds the pool
+    as an array and takes np.abs residuals and np.argmin. Returns the
+    pairs' bytes, or the error's type and message."""
+    arr = np.asarray(roots, dtype=np.complex128).reshape(-1)
+    try:
+        if arr.size % 2:
+            raise ValueError("root count must be even")
+        if np.any(arr == 0):
+            raise ValueError("zero roots cannot occur when r(N-1) != 0")
+        if complex(scale) == 0:
+            raise DegenerateLeadingLag("pairing scale r(N-1) must be nonzero")
+        pool = list(arr[np.lexsort((arr.imag, arr.real))])
+        pairs = []
+        while pool:
+            g = pool.pop(0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid = np.abs(g * np.conj(np.array(pool)) - 1.0)
+            j = int(np.argmin(resid))
+            tau = ztransform.pair_tolerance(g)
+            if resid[j] > tau:
+                if ztransform._near_unit_circle(g):
+                    raise OddUnitCircleMultiplicity(f"unit-circle root {g} lacks a second copy")
+                raise UnpairableRoots(f"no conjugate-reciprocal partner for {g} (best residual {resid[j]:.3e})")
+            h = pool.pop(j)
+            if ztransform._near_unit_circle(g) and ztransform._near_unit_circle(h) and abs(g - h) <= tau * max(1.0, abs(g)):
+                mid = (g + h) / 2.0
+                mid = mid / abs(mid)
+                pairs.append((mid, mid))
+            else:
+                pairs.append((g, h) if abs(g) >= abs(h) else (h, g))
+        return ZeroPairing(complex(scale), tuple(pairs)).pairs.tobytes()
+    except _PAIRING_ERRORS as exc:
+        return type(exc), str(exc)
+
+
+def _pairing_outcome(roots, scale):
+    try:
+        return pair_roots(roots, scale).pairs.tobytes()
+    except _PAIRING_ERRORS as exc:
+        return type(exc), str(exc)
+
+
+def test_roots_stage_matches_numpy_reference():
+    """find_roots is bitwise the np.polyval polish of _five_step_find_roots,
+    and pair_roots bitwise the numpy greedy loop (the same error type and
+    message on refused input): on seeded signals at N = 2..16 (complex,
+    real, scaled by 1e150 and 1e-150), signals with unit-circle double
+    roots, and root multisets with repeated, unit-circle, odd-multiplicity
+    or unpairable roots. numpy's complex multiply differs between builds
+    and SIMD targets, which this test is there to catch."""
+    rng = np.random.default_rng(41)
+    signals = [np.array(e, dtype=complex) for e in ([1, 1, 1], [1, 0, 1], [1, -1], [2, 1j, 1], [1, -4, 4], [1, 2, 2, 1])]
+    for n in range(2, 17):
+        for kind in ("complex", "real", "1e150", "1e-150"):
+            for _ in range(6):
+                x = rng.standard_normal(n) + (0.0 if kind == "real" else 1j * rng.standard_normal(n))
+                signals.append(x * (float(kind) if kind.startswith("1e") else 1.0))
+    roots_sets = []
+    for x in signals:
+        r = autocorrelation(ComplexSignal(x))
+        poly = build_S_poly(r)
+        with np.errstate(all="ignore"):
+            want, _ = _five_step_find_roots(poly)
+        if want is NonConvergence:
+            with pytest.raises((NonConvergence, OverflowBeyondPrecision)):
+                find_roots(poly)
+            continue
+        got = find_roots(poly)
+        assert got.tobytes() == want.tobytes()
+        roots_sets.append((got, r.entries[r.n - 1]))
+    assert len(roots_sets) > len(signals) * 3 // 4
+    g, u = 2.0 - 1.5j, np.exp(0.7j)
+    roots_sets += [
+        (np.array([2.0, 2.0, 0.5, 0.5]), 1.0),
+        (np.array([0.5, 0.5, 2.0 + 1e-9j, 2.0 - 1e-9j]), 1.0),  # two distinct partners tie
+        (np.array([g, g, 1 / np.conj(g), 1 / np.conj(g), g, 1 / np.conj(g)]), 2.0),
+        (np.array([u, u, u, u, 2.0, 0.5]), 1.0j),
+        (np.array([u, u * (1 + 1e-9), -1.0, -1.0]), 3.0),
+        (np.array([u, u, u]), 1.0),
+        (np.array([u, u, u, 2.0]), 1.0),
+        (np.array([1.0j, -1.0j]), 1.0),
+        (np.array([2.0, 3.0]), 6.0),
+        (np.array([2.0, 0.5, 3.0, 0.4]), 1.0),
+        (np.array([g, 1 / np.conj(g), g]), 1.0),
+        (np.array([g, 0.0]), 1.0),
+        (np.array([g, 1 / np.conj(g)]), 0.0),
+    ]
+    for roots, scale in roots_sets:
+        assert _pairing_outcome(roots, scale) == _numpy_greedy_pair_roots(roots, scale)
+
+
+def test_pair_roots_overflowing_residual_is_inf():
+    """A residual whose finite parts have a modulus past double range is inf,
+    as np.abs gives it; Python's abs raises OverflowError there. The pairs
+    are the numpy loop's, and nothing warns."""
+    big = np.array([-1.3e154 * (1 + 1j), -1.3e154 + 0j])
+    roots = np.concatenate([big, 1 / np.conj(big)])
+    with pytest.raises(OverflowError):
+        abs(complex(big[0]) * complex(big[1]).conjugate() - 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pair_roots(roots, 1.0)
+    assert got.pairs.tobytes() == _numpy_greedy_pair_roots(roots, 1.0)
+    assert got.pairs[:, 0].tolist() == big.tolist()
+
+
+def test_pair_roots_refuses_non_finite_roots():
+    for bad in ([np.nan, 2.0, 0.5, 3.0], [2.0, np.inf], [complex(1.0, np.nan), 1.0]):
+        with pytest.raises(ValueError, match="roots must be finite"):
+            pair_roots(np.array(bad), 1.0)
 
 
 @given(signals_with_clean_roots())
