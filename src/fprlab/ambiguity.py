@@ -42,6 +42,7 @@ RESIDUAL_BLOCK_BITS = 12
 # the arithmetic it would batch (crossovers measured in CHANGES.md).
 _SMALL_CODES = 64  # _survivor_codes: at most this many codes, 2^p
 _SMALL_ROWS = 4  # _expand: at most this many rows
+_SMALL_WINDOW = 4  # _survivor_codes' small search: at most this many window codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +141,57 @@ def _residuals(pairs: np.ndarray, codes: np.ndarray, target: complex) -> np.ndar
             return np.hypot(d.real, d.imag)
     except FloatingPointError as exc:
         raise OverflowBeyondPrecision(f"a root product leaves double range ({exc})") from None
+
+
+# Parts (real and imaginary) inside which the Python-complex residuals
+# cannot under- or overflow; see _residuals_small
+_PART_LO, _PART_HI, _DIFF_LO, _DIFF_HI = 2.0**-511, 2.0**511, 2.0**-250, 2.0**250
+
+
+def _residuals_small(roots: list, codes: list, target: complex) -> np.ndarray | None:
+    """_residuals of a few codes, bitwise, with each product taken in
+    Python complex; None where a step might under- or overflow, so that
+    _residuals' errstate decides there. roots is pairs.tolist().
+
+    Each product starts from the first picked root and multiplies in the
+    others in pair order, as np.prod does; Python's complex product is
+    the same four real products and two sums, never fused. A zero part
+    may take the other sign, which neither a later nonzero part nor the
+    residual's modulus can see. The moduli stay np.hypot: math.hypot
+    differs from it in the last bit.
+
+    No step raises a flag that _residuals' errstate would turn into an
+    error when every nonzero part of each root and of each partial
+    product lies in [2^-511, 2^511] (so each real product is normal) and
+    every nonzero part of each difference P - target in [2^-250, 2^250]
+    (so hypot's squares are normal too); otherwise None.
+    """
+    lo, hi, dlo, dhi = _PART_LO, _PART_HI, _DIFF_LO, _DIFF_HI
+    for pair in roots:
+        for z in pair:
+            a, b = abs(z.real), abs(z.imag)
+            if not ((lo <= a <= hi or not a) and (lo <= b <= hi or not b)):
+                return None
+    neg = [(-h, -g) for g, h in roots]  # bit k clear picks gamma_recip
+    re, im = [], []
+    for code in codes:
+        acc = 1.0 + 0.0j  # np.prod of no roots
+        for k, pair in enumerate(neg):
+            z = pair[code >> k & 1]
+            if k:
+                acc = acc * z
+                a, b = abs(acc.real), abs(acc.imag)
+                if not ((lo <= a <= hi or not a) and (lo <= b <= hi or not b)):
+                    return None
+            else:
+                acc = z
+        d = acc - target
+        a, b = abs(d.real), abs(d.imag)
+        if not ((dlo <= a <= dhi or not a) and (dlo <= b <= dhi or not b)):
+            return None
+        re.append(d.real)
+        im.append(d.imag)
+    return np.hypot(re, im)
 
 
 def _factor_in(re: np.ndarray, im: np.ndarray, k: int, wr, wi, scratch: np.ndarray) -> None:
@@ -256,15 +308,11 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> np.ndarray
     arithmetic per row in Python floats, without the table and the ~10
     numpy calls per factor that cost more than the arithmetic there.
     """
+    if codes.size <= _SMALL_ROWS:
+        return _expand_small(pairing, codes.tolist(), alpha)
     p, pairs = pairing.n_pairs, pairing.pairs
     roots = set(pairs.ravel().tolist())
     closable = any(z.conjugate() in roots for z in roots)
-    if codes.size <= _SMALL_ROWS:
-        re_rows, im_rows, mag = _expand_small(pairs, codes.tolist(), closable)
-        out = np.empty((codes.size, p + 1), np.complex128)
-        out.real, out.imag = re_rows, im_rows
-        _apply_gain(out, np.array(mag), pairing.scale, alpha)
-        return out
     b = min(p, RESIDUAL_BLOCK_BITS) if codes.size == 1 << p else 0
     width, cols = 1 << b, min(codes.size, 1 << RESIDUAL_BLOCK_BITS) if b < p else 0
     # the table's levels alternate between last and before, which also
@@ -306,17 +354,24 @@ def _expand(pairing: ZeroPairing, codes: np.ndarray, alpha: float) -> np.ndarray
     return out
 
 
-def _expand_small(pairs: np.ndarray, codes: list, closable: bool) -> tuple:
-    """Real rows, imaginary rows and root-modulus products of _expand's
-    selections before the gain, as Python floats, bitwise _expand's blocks.
+def _expand_small(pairing: ZeroPairing, codes: list, alpha: float) -> np.ndarray:
+    """_expand of a few codes in Python floats, bitwise _expand's blocks.
 
     Each row multiplies in its factors in pair order with _factor_in's
     real operations, highest coefficient first so each is updated in
-    place. The moduli come from np.abs, which Python's abs(complex) does
-    not always match in the last bit.
+    place. A row whose picked roots are closed under conjugation takes
+    np.poly's real branch, as in the blocks; a row can be only if a root's
+    conjugate is a root of the pairing, which the blocks test first. The
+    moduli come from np.abs, which Python's abs(complex) does not always
+    match in the last bit. Each row's gain ratio sqrt|scale| / sqrt(modulus
+    product) is taken in Python floats (sqrt and the quotient are
+    correctly rounded, as numpy's), and the rows are scaled by
+    e^(i alpha) times it in one numpy multiply, as _apply_gain does.
     """
+    pairs = pairing.pairs
     p, roots, mods = len(pairs), pairs.tolist(), np.abs(pairs).tolist()
-    re_rows, im_rows, mags = [], [], []
+    amp = math.sqrt(abs(pairing.scale))
+    rows, ratios = [], []
     for code in codes:
         re, im, mag, picked = [1.0] + [0.0] * p, [0.0] * (p + 1), 1.0, []
         for k in range(p):
@@ -329,12 +384,17 @@ def _expand_small(pairs: np.ndarray, codes: list, closable: bool) -> tuple:
                 im[j + 1] = pr * wi + (pi * wr + im[j + 1])
             mag *= mods[k][pick]
             picked.append(z)
-        if closable and sorted(picked, key=_re_im) == sorted((z.conjugate() for z in picked), key=_re_im):
-            im = [0.0] * (p + 1)
-        re_rows.append(re)
-        im_rows.append(im)
-        mags.append(mag)
-    return re_rows, im_rows, mags
+        if not any(z.imag for z in picked) or sorted(picked, key=_re_im) == sorted(
+            (z.conjugate() for z in picked), key=_re_im
+        ):
+            rows.append(re)
+        else:
+            rows.append(list(map(complex, re, im)))
+        ratios.append(amp / math.sqrt(mag))
+    out = np.array(rows, np.complex128).reshape(len(codes), p + 1)
+    gain = np.exp(1j * alpha) * np.array(ratios)
+    np.multiply(gain[:, None], out, out=out)
+    return out
 
 
 def _re_im(z: complex) -> tuple:
@@ -451,13 +511,17 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray
     Up to _SMALL_CODES codes (2^p <= 64) build the table and the window
     test in Python floats instead, with the same additions in the same
     order, from the same np.log moduli (math.log can differ in the last
-    bit); their window codes take the same exact check.
+    bit). Up to _SMALL_WINDOW window codes there take the exact check in
+    _residuals_small, bitwise _residuals wherever it answers; more codes,
+    or a part out of its range, take _residuals.
     """
     p = _check_budget(pairing)
-    target = complex(pairing.scale) / _anchor_power(x0)
-    thr = anchor_threshold(pairing, x0, tol)
+    power = _anchor_power(x0)
+    target = complex(pairing.scale) / power
+    thr = checked_tol(tol, "anchor tol") * abs(complex(pairing.scale)) / power  # anchor_threshold
     lg = np.log(np.abs(pairing.pairs))
-    a = sum(map(abs, lg.ravel().tolist()))
+    flat = lg.ravel().tolist()
+    a = sum(map(abs, flat))
     t_mod = abs(target)
     if a <= 700.0 and 1e-300 <= t_mod <= 1e300:
         lo_lin, hi_lin = t_mod * (1 - 2.0**-49) - thr, t_mod * (1 + 2.0**-49) + thr
@@ -467,6 +531,7 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray
         lo, hi = lo - slack, hi + slack
     else:
         lg, lo, hi = np.zeros_like(lg), -math.inf, math.inf
+        flat = lg.ravel().tolist()
     kept = 0
 
     def survivors(codes: np.ndarray, base: int, size: int) -> np.ndarray:
@@ -483,9 +548,16 @@ def _survivor_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray
 
     if 1 << p <= _SMALL_CODES:
         sums = [0.0]
-        for g, r in lg.tolist():
+        for g, r in zip(flat[::2], flat[1::2]):
             sums = [x + s for x in (r, g) for s in sums]
-        return survivors(np.array([c for c, s in enumerate(sums) if lo <= s <= hi], np.intp), 0, len(sums))
+        found = [c for c, s in enumerate(sums) if lo <= s <= hi]
+        if 0 < len(found) <= _SMALL_WINDOW:
+            res = _residuals_small(pairing.pairs.tolist(), found, target)
+            if res is not None:
+                kept = np.array([c for c, r in zip(found, res.tolist()) if r <= thr], np.intp)
+                _check_budget(pairing, kept.size)
+                return kept
+        return survivors(np.array(found, np.intp), 0, len(sums))
 
     def window(sums: np.ndarray) -> np.ndarray:
         return ((sums >= lo) & (sums <= hi)).nonzero()[0]

@@ -11,6 +11,7 @@ back off is a root membership test with provable margins, which is what
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -127,12 +128,16 @@ class DiscriminationResult:
 
     @property
     def verdict(self) -> Verdict:
-        a, b = self.mag_gamma, self.mag_recip
-        if max(a, b) <= BOTH_ROOTS_CAP:
-            return Verdict.BOTH_ROOTS
-        if b >= a + SELECT_MARGIN:
-            return Verdict.SELECT_GAMMA
-        return Verdict.SELECT_RECIP
+        return _verdict(self.mag_gamma, self.mag_recip)
+
+
+def _verdict(a: float, b: float) -> Verdict:
+    """The verdict on measured magnitudes a = |X_m(gamma)|, b = |X_m(gamma_recip)|."""
+    if max(a, b) <= BOTH_ROOTS_CAP:
+        return Verdict.BOTH_ROOTS
+    if b >= a + SELECT_MARGIN:
+        return Verdict.SELECT_GAMMA
+    return Verdict.SELECT_RECIP
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +240,13 @@ def _planted_pairs(values) -> tuple:
 
 def _readout(xm: ComplexSignal, values) -> list:
     """One DiscriminationResult per value: |X_m| at its planted pair, all in one evaluation."""
-    mags = [abs(v) for v in eval_ztransform(xm, np.ravel(_planted_pairs(values))).tolist()]
+    mags = _magnitudes(xm, np.ravel(_planted_pairs(values)))
     return [DiscriminationResult(a, b) for a, b in zip(mags[::2], mags[1::2])]
+
+
+def _magnitudes(xm: ComplexSignal, roots: np.ndarray) -> list:
+    """|X_m| at each of the flat planted roots (-u_1, -1/u_1, -u_2, ...), in one evaluation."""
+    return [abs(v) for v in eval_ztransform(xm, roots).tolist()]
 
 
 def construct_hard_instance(pp: PPInstance) -> HardInstance:
@@ -354,6 +364,13 @@ def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -
     return LemmaBoundsReport(c0, cap, tuple(checks))
 
 
+@functools.lru_cache(maxsize=64)
+def _round_config(n: int, u_max: int) -> SolverConfig:
+    """decide_pp's default solver config for a round of size n, built once
+    per (n, u_max): SolverConfig is frozen, so rounds can share it."""
+    return SolverConfig(max_iters=reduction_iteration_budget(n, u_max), seed=0)
+
+
 def decide_pp(
     pp: PPInstance,
     solver,
@@ -383,9 +400,7 @@ def decide_pp(
         n_cur = len(survivors) + 1
         values = [pp.u[k - 1] for k in survivors]
         inst = _embedding(values, pp.u[-1], u_max)
-        run_cfg = cfg or SolverConfig(
-            max_iters=reduction_iteration_budget(n_cur, u_max), seed=0
-        )
+        run_cfg = cfg or _round_config(n_cur, u_max)
         try:
             trace = solver(inst, run_cfg)
         except NoFeasibleSolution:
@@ -394,7 +409,9 @@ def decide_pp(
             raise SolverFailure("solver returned no iterate")
         xm = trace.iterates[-1]
         gamma = set()
-        for pos, verdict in enumerate(r.verdict for r in _readout(xm, values)):
+        # the round's pairing holds the planted pairs of its values, in order
+        mags = _magnitudes(xm, inst.pairing.pairs.ravel())
+        for pos, verdict in enumerate(map(_verdict, mags[::2], mags[1::2])):
             if verdict is Verdict.BOTH_ROOTS:
                 break
             if verdict is Verdict.SELECT_GAMMA:

@@ -1,8 +1,8 @@
 """Slow reference paths that the fast runtime paths are tested against.
 
-Each function here spells out one definition directly, one selection or
-one product at a time, and the tests prove the runtime engines of
-``ambiguity`` bitwise equal to them. No runtime module imports this one;
+Each function here spells out one definition directly, one selection,
+one product or one pair at a time, and the tests prove the runtime
+engines of ``ambiguity`` and ``ztransform`` bitwise equal to them. No runtime module imports this one;
 ``fprlab`` re-exports RootSelection, signal_from_selection and
 product_constraint from it.
 """
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import _anchor_power, _blocks, _check_budget, _residuals
+from .errors import OverflowBeyondPrecision, UnpairableRoots, ZeroArgument
 from .signal_core import Autocorrelation, ComplexSignal
-from .ztransform import ZeroPairing
+from .ztransform import ZeroPairing, _check_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,3 +91,48 @@ def anchor_residuals(pairing: ZeroPairing, x0: complex) -> np.ndarray:
     for lo, hi in _blocks(1 << p):
         out[lo:hi] = _residuals(pairing.pairs, np.arange(lo, hi), target)
     return out
+
+
+def spectrum_by_pairs(pairing: ZeroPairing, omegas) -> np.ndarray:
+    """ztransform.spectrum_from_pairing as a loop over the pairs: the product
+    conj(r(N-1)) * prod (z - gamma)(z - gamma_recip) * z^-p built in place,
+    one factor at a time, with the same checks, errors and messages."""
+    om = np.asarray(omegas, dtype=np.float64).reshape(-1)
+    z = np.exp(1j * om)
+    acc = np.full(om.shape, np.conj(complex(pairing.scale)), dtype=np.complex128)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for g, h in pairing.pairs.tolist():
+                acc *= z - g
+                acc *= z - h
+            acc *= z ** (-pairing.n_pairs)
+            scale_mag = max(1.0, float(np.max(np.abs(acc), initial=1.0)))
+    except FloatingPointError as exc:
+        raise OverflowBeyondPrecision(f"the spectrum of the pairing leaves double range ({exc})") from None
+    if float(np.max(np.abs(acc.imag), initial=0.0)) > 1e-6 * scale_mag:
+        raise UnpairableRoots("pairing does not define a real spectrum")
+    vals = acc.real
+    if float(np.min(vals, initial=0.0)) < -1e-6 * scale_mag:
+        raise UnpairableRoots("pairing does not define a nonnegative spectrum")
+    return np.maximum(vals, 0.0)
+
+
+def eval_by_polyval(x: ComplexSignal, z):
+    """ztransform.eval_ztransform through np.polyval: z^(1-N) * polyval(x, z),
+    with z^(N-1) as Python's complex power."""
+    pts = np.asarray(z, dtype=np.complex128)
+    if x.n == 1:
+        vals = np.full(pts.shape, x.entries[0])
+    elif not pts.all():
+        raise ZeroArgument("z = 0 not in the domain for N > 1")
+    else:
+        powers = [w ** (x.n - 1) for w in pts.ravel().tolist()]
+        vals = np.polyval(x.entries, pts) / np.reshape(powers, pts.shape)
+    return complex(vals) if pts.ndim == 0 else vals
+
+
+def check_pairs(pairs) -> None:
+    """ZeroPairing's partner checks pair by pair, in order: every check of
+    ztransform._check_pair on every pair, raising at the first that fails."""
+    for g, h in np.asarray(pairs, dtype=np.complex128).reshape(-1, 2).tolist():
+        _check_pair(g, h)

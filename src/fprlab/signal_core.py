@@ -26,6 +26,7 @@ NaN or infinite bound would turn off the comparison it feeds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,10 +172,51 @@ class SpectrumSamples:
 
 
 def uniform_grid(m: int) -> np.ndarray:
-    """Angles 2*pi*j/m for j = 0..m-1."""
+    """Angles 2*pi*j/m for j = 0..m-1, a new array."""
     if m < 1:
         raise ValueError("grid needs at least one point")
     return 2.0 * np.pi * np.arange(m) / m
+
+
+# The dense trigonometric tables of the paths below, each a function of
+# the angles and a lag count; on the uniform grid each is built once per
+# size, by the same expression, and kept read-only in a bounded cache.
+_TABLES = {
+    "points": lambda om, n: np.exp(1j * om),
+    "intensity": lambda om, n: np.exp(-1j * np.outer(om, np.arange(n))),
+    "spectrum": lambda om, n: np.exp(-1j * np.outer(om, np.arange(-(n - 1), n))),
+    "lags": lambda om, n: np.exp(1j * np.outer(np.arange(n), om)),
+}
+_TABLE_CACHE = 64
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _grid_table(m: int) -> tuple:
+    """uniform_grid(m), frozen, and its bytes."""
+    om = uniform_grid(m)
+    return frozen(om, "grid"), om.tobytes()
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _uniform_table(form: str, m: int, n: int) -> np.ndarray:
+    """_TABLES[form] on uniform_grid(m), frozen."""
+    arr = _TABLES[form](_grid_table(m)[0], n)
+    return frozen(arr, "table", arr.ndim)
+
+
+def _table(form: str, om: np.ndarray, n: int = 0) -> np.ndarray:
+    """_TABLES[form](om, n), read from the cache when the 1-D angles om are
+    bitwise the uniform grid of their size (so the values are the same);
+    read-only then, and a new array otherwise."""
+    m = om.size
+    if m and om.tobytes() == _grid_table(m)[1]:
+        return _uniform_table(form, m, n)
+    return _TABLES[form](om, n)
+
+
+def _unit_points(om: np.ndarray) -> np.ndarray:
+    """exp(1j * om) for 1-D angles om; read-only on the uniform grid."""
+    return _table("points", om)
 
 
 def autocorrelation(x: ComplexSignal) -> Autocorrelation:
@@ -192,9 +234,12 @@ def autocorrelation(x: ComplexSignal) -> Autocorrelation:
 def fourier_intensity(x: ComplexSignal, omegas) -> SpectrumSamples:
     """|X(omega_j)|^2 with X(omega) = sum_n x(n) exp(-i omega n)."""
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
-    phases = np.exp(-1j * np.outer(om, np.arange(x.n)))
-    vals = np.abs(phases @ x.entries) ** 2
-    return SpectrumSamples(om, vals)
+    return SpectrumSamples(om, _intensity_values(x, om))
+
+
+def _intensity_values(x: ComplexSignal, om: np.ndarray) -> np.ndarray:
+    """fourier_intensity(x, om).values for 1-D angles om, without the samples."""
+    return np.abs(_table("intensity", om, x.n) @ x.entries) ** 2
 
 
 def spectrum_from_autocorr(r: Autocorrelation, omegas) -> SpectrumSamples:
@@ -217,9 +262,8 @@ def spectrum_from_autocorr(r: Autocorrelation, omegas) -> SpectrumSamples:
     """
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
     n = r.n
-    lags = np.arange(-(n - 1), n)
     full = np.concatenate([np.conj(r.entries[:0:-1]), r.entries])
-    vals = np.exp(-1j * np.outer(om, lags)) @ full
+    vals = _table("spectrum", om, n) @ full
     worst = float(np.max(np.abs(vals.imag), initial=0.0))
     tol = DEFAULT_TOL * (float(np.sum(np.abs(r.entries))) + 1.0)
     if worst > tol:
@@ -235,7 +279,8 @@ def check_uniform_grid(s: SpectrumSamples, n: int) -> None:
     m = s.m
     if m < 2 * n - 1:
         raise InsufficientSamples(f"m={m} samples cannot determine {n} lags (need {2 * n - 1})")
-    if np.max(np.abs(s.omegas - uniform_grid(m))) > DEFAULT_TOL:
+    grid, exact = _grid_table(m)
+    if s.omegas.tobytes() != exact and np.max(np.abs(s.omegas - grid)) > DEFAULT_TOL:
         raise NonUniformGrid("sample angles must be 2*pi*j/m")
 
 
@@ -255,6 +300,5 @@ def autocorr_from_spectrum(s: SpectrumSamples, n: int) -> Autocorrelation:
     if n < 1:
         raise ValueError("n must be positive")
     check_uniform_grid(s, n)
-    phases = np.exp(1j * np.outer(np.arange(n), s.omegas))
-    r = (phases @ s.values.astype(np.complex128)) / s.m
+    r = (_table("lags", s.omegas, n) @ s.values.astype(np.complex128)) / s.m
     return Autocorrelation(r)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import islice
@@ -48,6 +49,8 @@ from .errors import StepDiverged
 from .signal_core import (
     ComplexSignal,
     SpectrumSamples,
+    _grid_table,
+    _intensity_values,
     autocorrelation,
     check_uniform_grid,
     checked_tol,
@@ -122,7 +125,7 @@ class PRInstance:
 
 def _pairing_samples(pairing: ZeroPairing, grid_mult: int) -> SpectrumSamples:
     """The pairing's spectrum on the uniform grid of grid_size(N, grid_mult) points."""
-    om = uniform_grid(grid_size(pairing.n_pairs + 1, grid_mult))
+    om = _grid_table(grid_size(pairing.n_pairs + 1, grid_mult))[0]
     return SpectrumSamples(om, spectrum_from_pairing(pairing, om))
 
 
@@ -143,8 +146,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        try:
+            max_iters = operator.index(self.max_iters)
+        except TypeError:
+            max_iters = None
+        if max_iters is None or max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", max_iters)
         if not 0.0 < self.beta_hio < 1.0:
             raise ValueError("beta_hio must lie in (0, 1)")
         checked_tol(self.step_size, "step_size", positive=True)
@@ -177,7 +185,7 @@ class IterateTrace:
 
 def amplitude_loss(z: ComplexSignal, s: SpectrumSamples) -> float:
     """sum_j (|Z(omega_j)| - sqrt(R_j))^2 on the angles of s."""
-    ivals = fourier_intensity(z, s.omegas).values
+    ivals = _intensity_values(z, s.omegas)
     return float(np.sum((np.sqrt(ivals) - np.sqrt(np.maximum(s.values, 0.0))) ** 2))
 
 

@@ -24,10 +24,19 @@ from .errors import (
     UnpairableRoots,
     ZeroArgument,
 )
-from .signal_core import Autocorrelation, ComplexSignal, frozen
+from .signal_core import Autocorrelation, ComplexSignal, _unit_points, frozen
 
 TAU_ROOT = 1e-9
 NEWTON_STEPS = 5
+
+
+def _modulus(z: complex) -> float:
+    """|z|; OverflowBeyondPrecision where the modulus of finite parts passes
+    double range (Python's abs raises OverflowError there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        raise OverflowBeyondPrecision(f"a root's modulus leaves double range (root {z})") from None
 
 
 def pair_tolerance(gamma: complex) -> float:
@@ -36,14 +45,15 @@ def pair_tolerance(gamma: complex) -> float:
     Linear in |gamma|, with a floor of 1e-6: the measured residual of
     true partners stays near machine precision at every |gamma|, while a
     bound growing like |gamma|^2 would accept pairs that are not partners.
+    OverflowBeyondPrecision when |gamma| passes double range.
     """
-    return 1e-6 * max(1.0, float(abs(gamma)))
+    return 1e-6 * max(1.0, float(_modulus(gamma)))
 
 
 def _near_unit_circle(z: complex) -> bool:
     """||z| - 1| within pair_tolerance(1); pair_tolerance(z) grows with
     |z| and would put every large enough |z| on the unit circle."""
-    return abs(abs(z) - 1.0) <= pair_tolerance(1.0)
+    return abs(_modulus(z) - 1.0) <= pair_tolerance(1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +76,20 @@ class PolyCoeffs:
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
+
+
+def _check_pair(g: complex, h: complex) -> None:
+    """Refuse the pair (g, h) as ZeroPairing does: ValueError for a zero root,
+    a self-pair off the unit circle or a pair that is not conjugate-reciprocal
+    within pair_tolerance(g); OverflowBeyondPrecision when |g| passes double
+    range."""
+    if g == 0 or h == 0:
+        raise ValueError("paired roots must be nonzero")
+    if h == g:
+        if not _near_unit_circle(g):
+            raise ValueError(f"self-pair ({g}, {h}) must lie on the unit circle")
+    elif _pair_residual(g, h) > pair_tolerance(g):
+        raise ValueError(f"pair ({g}, {h}) is not conjugate-reciprocal within tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,14 +119,16 @@ class ZeroPairing:
         pairs = frozen(pairs, "paired roots", 2)
         if pairs.shape[1] != 2:
             raise ValueError("each pair must be (gamma, gamma_recip)")
+        # r <= 1e-6 or r <= 1e-6 |g| is r <= pair_tolerance(g); every
+        # other pair, and one whose modulus leaves double range, takes
+        # _check_pair's checks in their order
         for g, h in pairs.tolist():
-            if g == 0 or h == 0:
-                raise ValueError("paired roots must be nonzero")
-            if h == g:
-                if not _near_unit_circle(g):
-                    raise ValueError(f"self-pair ({g}, {h}) must lie on the unit circle")
-            elif abs(g * h.conjugate() - 1.0) > pair_tolerance(g):
-                raise ValueError(f"pair ({g}, {h}) is not conjugate-reciprocal within tolerance")
+            try:
+                r, mod = abs(g * h.conjugate() - 1.0), abs(g)
+            except OverflowError:
+                r = mod = math.nan
+            if h == g or h == 0 or not (r <= 1e-6 or r <= 1e-6 * mod):
+                _check_pair(g, h)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "pairs", pairs)
 
@@ -119,15 +145,22 @@ class ZeroPairing:
 def eval_ztransform(x: ComplexSignal, z: complex | np.ndarray) -> complex | np.ndarray:
     """X(z) = sum_k x(k) z^-k via Horner on z^(N-1) X(z), at one point or in one pass over
     a 1-D array of points. z^(N-1) is Python's complex power (numpy's can differ in the
-    last bit), so each value is bitwise the one-point call."""
+    last bit), so each value is bitwise the one-point call.
+
+    Horner runs np.polyval's ufunc calls (y = y * z + c from y = 0, on arrays
+    of the points' shape) without its wrapper, so each value is bitwise
+    reference.eval_by_polyval's."""
     pts = np.asarray(z, dtype=np.complex128)
     if x.n == 1:
         vals = np.full(pts.shape, x.entries[0])
     elif not pts.all():
         raise ZeroArgument("z = 0 not in the domain for N > 1")
     else:
+        vals = np.zeros_like(pts)
+        for c in x.entries.tolist():
+            vals = np.add(np.multiply(vals, pts), c)
         powers = [w ** (x.n - 1) for w in pts.ravel().tolist()]
-        vals = np.polyval(x.entries, pts) / np.reshape(powers, pts.shape)
+        vals = vals / np.array(powers).reshape(pts.shape)
     return complex(vals) if pts.ndim == 0 else vals
 
 
@@ -249,7 +282,8 @@ def pair_roots(roots, scale: complex) -> ZeroPairing:
     1.0) in its last bits; only a choice between residuals that close
     could differ from numpy's, which the roots-stage differential test in
     tests/test_ztransform.py checks. ValueError for non-finite roots
-    (np.argmin would pick a nan residual, min does not).
+    (np.argmin would pick a nan residual, min does not), and
+    OverflowBeyondPrecision for a root whose modulus passes double range.
     """
     arr = np.asarray(roots, dtype=np.complex128).reshape(-1)
     if arr.size % 2:
@@ -281,7 +315,7 @@ def pair_roots(roots, scale: complex) -> ZeroPairing:
             mid = mid / abs(mid)
             pairs.append((mid, mid))
         else:
-            pairs.append((g, h) if abs(g) >= abs(h) else (h, g))
+            pairs.append((g, h) if _modulus(g) >= _modulus(h) else (h, g))
     return ZeroPairing(complex(scale), tuple(pairs))
 
 
@@ -297,24 +331,31 @@ def spectrum_from_pairing(pairing: ZeroPairing, omegas) -> np.ndarray:
     is real for a valid pairing; the real part is returned with tiny
     negative dust clamped to zero. OverflowBeyondPrecision when a partial
     product overflows; underflow is harmless here and passes.
+
+    The factors are the rows of one (2p + 2, M) array, conj(r(N-1)), then
+    z - gamma and z - gamma_recip pair by pair, then z^-p, and one
+    multiply reduce along its rows takes their product at each angle in
+    that order: bitwise reference.spectrum_by_pairs, the per-pair loop.
     """
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
-    z = np.exp(1j * om)
-    scale = complex(pairing.scale)
-    acc = np.full(om.shape, np.conj(scale), dtype=np.complex128)
+    z = _unit_points(om)
+    p = pairing.n_pairs
+    factors = np.empty((2 * p + 2, om.size), np.complex128)
+    factors[0] = complex(pairing.scale).conjugate()
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for g, h in pairing.pairs.tolist():
-                acc *= z - g
-                acc *= z - h
-            acc *= z ** (-pairing.n_pairs)
-            scale_mag = max(1.0, float(np.max(np.abs(acc), initial=1.0)))
+            np.subtract(z, pairing.pairs.reshape(-1, 1), out=factors[1:-1])
+            np.power(z, -p, out=factors[-1])
+            acc = np.multiply.reduce(factors, axis=0)
+            scale_mag = max(1.0, float(np.maximum.reduce(np.abs(acc), initial=1.0)))
     except FloatingPointError as exc:
-        raise OverflowBeyondPrecision(f"the spectrum of the pairing leaves double range ({exc})") from None
-    if float(np.max(np.abs(acc.imag), initial=0.0)) > 1e-6 * scale_mag:
+        # every step of the reduce is a multiply, as in the per-pair loop
+        why = str(exc).replace(" in reduce", " in multiply")
+        raise OverflowBeyondPrecision(f"the spectrum of the pairing leaves double range ({why})") from None
+    if float(np.maximum.reduce(np.abs(acc.imag), initial=0.0)) > 1e-6 * scale_mag:
         raise UnpairableRoots("pairing does not define a real spectrum")
     vals = acc.real
     floor = -1e-6 * scale_mag
-    if float(np.min(vals, initial=0.0)) < floor:
+    if float(np.minimum.reduce(vals, initial=0.0)) < floor:
         raise UnpairableRoots("pairing does not define a nonnegative spectrum")
     return np.maximum(vals, 0.0)

@@ -91,10 +91,12 @@ def corpus():
         picked = np.where([planted[-1] >> k & 1 for k in range(8)], gammas, 1 / np.conj(gammas))
         wide.append((ZeroPairing(complex(np.prod(-picked)), tuple(zip(gammas, 1 / np.conj(gammas)))), 1.0))
     sweep = [construct_hard_instance(pp).pr for n in (3, 4, 5) for pp in all_pp_instances(n, 2, 6)]
+    sweep6 = [construct_hard_instance(pp).pr for pp in all_pp_instances(6, 2, 6)]
     sixteen = construct_hard_instance(PPInstance((3, 2, 3, 2, 3, 2, 3, 2, 36))).pr
     return SimpleNamespace(
         generic=generic,  # signal pairings at N = 1..16, each at its true anchor, then at 1.5x it
         sweep=[(pr.pairing, pr.anchor) for pr in sweep],  # the N = 3..5 sweep's embeddings, values 2..6
+        sweep6=[(pr.pairing, pr.anchor) for pr in sweep6],  # the N = 6 embeddings, values 2..6
         sixteen=(sixteen.pairing, sixteen.anchor),  # a hard instance with 16 exact survivors
         closable=_closable(),  # roots closed under conjugation, at anchor sqrt|r(N-1)| e^0.7i
         flagged=(pairing_of_signal(ComplexSignal(np.array([1.0, -1.0])))[1], 1.0),  # a self-paired unit-circle root

@@ -32,7 +32,7 @@ from fprlab.errors import (
     ZeroAnchor,
     ZeroSignal,
 )
-from fprlab.generate import random_signal
+from fprlab.generate import generic_instance, random_signal
 from fprlab.reference import RootSelection, anchor_residuals, product_constraint, signal_from_selection
 from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity, uniform_grid
 from fprlab.solvers import PRInstance, oracle_solve
@@ -705,7 +705,10 @@ def test_reference_paths_stay_out_of_the_runtime():
     """No package module but __init__ imports fprlab.reference, and each
     reference name is defined only there, so no runtime path leans on a
     slow one or keeps a second copy of it."""
-    moved = ["RootSelection", "anchor_residuals", "autocorr_from_pairing", "product_constraint", "signal_from_selection"]
+    moved = [
+        "RootSelection", "anchor_residuals", "autocorr_from_pairing", "check_pairs", "eval_by_polyval",
+        "product_constraint", "signal_from_selection", "spectrum_by_pairs",
+    ]
     defined = []
     for path in sorted(pathlib.Path(fprlab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -715,3 +718,68 @@ def test_reference_paths_stay_out_of_the_runtime():
                 names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
                 assert "reference" not in {n.rpartition(".")[2] for n in names}, (path.name, node.lineno)
     assert sorted(defined) == [(name, "reference.py") for name in moved]
+
+
+def _tiny_part_pairing():
+    """A pairing whose selection 0b11 meets the anchor 1 exactly, with a
+    root part of 1e-300, below the Python-complex residuals' range."""
+    g = complex(2.0, 1e-300)
+    pairs = ((g, 1 / g.conjugate()), (-3.0, -1 / 3.0))
+    return ZeroPairing(complex(np.prod([-g, 3.0])), pairs), 1.0
+
+
+def test_python_residuals_are_the_numpy_products(corpus, monkeypatch):
+    """_residuals_small is bitwise _residuals (np.prod in pair order, then
+    np.hypot under errstate) on every code of every N = 3..6 sweep
+    embedding (values 2..6) and of the generic, closable, near, flagged and empty
+    pairings up to 6 pairs (2^p <= _SMALL_CODES), and on a stride of codes
+    of the larger generic, wide and anchored-oracle pairings: code by code
+    and all codes at once, against numpy on all codes and on one. It
+    answers on every one of these pairings. Where a part of a root or of a
+    partial product, or of a difference from the target, leaves its range
+    (the far roots, a part of 1e-300, a target of 1e300) it answers None,
+    and _survivor_codes' numpy path decides, as with the Python path
+    turned off."""
+    small_pairings = [p for p in corpus.generic + corpus.closable + corpus.near + corpus.empty + [corpus.flagged] if p[0].n_pairs <= 6]
+    oracle = []
+    for seed in (0, 7877):
+        rng = np.random.default_rng((seed, 1))
+        oracle += [(pairing, complex(x.entries[0])) for x, pairing in (generic_instance(n, rng) for n in (10, 12, 14))]
+    large = [p for p in corpus.generic if p[0].n_pairs > 6] + corpus.wide + oracle + [corpus.sixteen]
+    for cases, stride in ((corpus.sweep + corpus.sweep6 + small_pairings, 1), (large, None)):
+        for pairing, x0 in cases:
+            p = pairing.n_pairs
+            codes = list(range(0, 1 << p, stride or (1 << p) // 37 + 1))
+            roots, target = pairing.pairs.tolist(), complex(pairing.scale) / ambiguity._anchor_power(x0)
+            want = ambiguity._residuals(pairing.pairs, np.array(codes), target)
+            got = ambiguity._residuals_small(roots, codes, target)
+            assert got is not None and got.tobytes() == want.tobytes(), (p, x0)
+            for i in (0, len(codes) - 1):
+                assert ambiguity._residuals_small(roots, codes[i : i + 1], target).tobytes() == want[i : i + 1].tobytes()
+                assert ambiguity._residuals(pairing.pairs, np.array(codes[i : i + 1]), target).tobytes() == want[i : i + 1].tobytes()
+            if p <= 4:
+                assert b"".join(ambiguity._residuals_small(roots, [c], target).tobytes() for c in codes) == want.tobytes()
+    tiny, x0 = _tiny_part_pairing()
+    assert ambiguity._residuals_small(tiny.pairs.tolist(), [3], 1.0 + 0j) is None
+    assert ambiguity._residuals_small(corpus.far[0].pairs.tolist(), [12], 1.0 + 0j) is None
+    assert ambiguity._residuals_small([[-2.0, -0.5]], [0, 1], 1e300 + 0j) is None
+    tiny_target = ambiguity._residuals_small([[-2.0, -0.5]], [0, 1], 1e-300 + 0j)
+    assert tiny_target.tobytes() == ambiguity._residuals(np.array([[-2.0, -0.5]]), np.array([0, 1]), 1e-300 + 0j).tobytes()
+
+    def searches(pairing, x0, tol=ANCHOR_REL_TOL):
+        out = []
+        for window in (ambiguity._SMALL_WINDOW, 0):
+            monkeypatch.setattr(ambiguity, "_SMALL_WINDOW", window)
+            try:
+                got = ambiguity._survivor_codes(pairing, x0, tol)
+                out.append((got.dtype.str, got.tobytes()))
+            except OverflowBeyondPrecision as exc:
+                out.append((type(exc), str(exc)))
+        assert out[0] == out[1]
+        return out[0]
+
+    assert searches(tiny, x0)[1] == np.array([3], np.intp).tobytes()
+    extreme = [(ZeroPairing(scale, ((-2.0, -0.5),)), 1.0) for scale in (1e300, 1e-300)]
+    for pairing, x0 in corpus.sweep + corpus.sweep6 + small_pairings + extreme:
+        searches(pairing, x0)
+    assert searches(*corpus.far)[0] is OverflowBeyondPrecision

@@ -17,6 +17,9 @@ PAIRING_3 = {
 }
 
 SIGNAL_E18 = {"kind": "signal", "entries": [[c.real, c.imag] for c in np.poly(1e18 * np.exp(0.3j * np.arange(1, 9))).tolist()]}
+# a root whose parts are finite but whose modulus passes double range, and its partner
+_C = (1 / 1.5e308) / 2
+PAIRING_HUGE_ROOT = {"kind": "pairing", "scale": [1, 0], "anchor": [1, 0], "pairs": [[[-1.5e308, -1.5e308], [-_C, -_C]]]}
 
 
 def write(tmp_path, name, doc):
@@ -187,8 +190,11 @@ def test_solve_bounds_must_be_finite(tmp_path, capsys, option, name, rule, value
         ("solve --solver oracle", {"kind": "pairing", "scale": [1e308, 0], "anchor": [1, 0], "pairs": [[[-2, 0], [-0.5, 0]]]}, "the spectrum of the pairing"),
         ("decide", {"kind": "pp", "u": [2, 3, 10**400]}, "the top lag anchor^2 * u_N"),
         ("enumerate", SIGNAL_E18, "the polynomial's value at a root"),
+        ("enumerate", PAIRING_HUGE_ROOT, "a root's modulus"),
+        ("solve --solver oracle", PAIRING_HUGE_ROOT, "a root's modulus"),
     ],
-    ids=["far-roots", "tiny-lead-enumerate", "tiny-lead-solve", "huge-scale", "huge-scale-oracle", "huge-top-lag", "e18-roots"],
+    ids=["far-roots", "tiny-lead-enumerate", "tiny-lead-solve", "huge-scale", "huge-scale-oracle", "huge-top-lag", "e18-roots",
+         "huge-root-enumerate", "huge-root-oracle"],
 )
 def test_out_of_double_range_is_a_typed_error(tmp_path, capsys, command, doc, message):
     """Roots 1e200 and 1e-200 take anchored partial products out of double
@@ -196,7 +202,8 @@ def test_out_of_double_range_is_a_typed_error(tmp_path, capsys, command, doc, me
     scale 1e308 overflows the sampled intensity, and u_N = 10^400 leaves the
     embedding's top lag without a double, and the S polynomial of a signal
     with eight roots of modulus 1e18 (entries up to 1e144) overflows at
-    those roots during the Newton polish: one typed error line each,
+    those roots during the Newton polish, and a root with finite parts
+    whose modulus has no double cannot be paired: one typed error line each,
     no numpy warning, no misjudged survivor. A pairing instance samples its
     grid when it is built, so the oracle, which reads the grid only for a
     survivor, is refused by the same error and not by NoFeasibleSolution."""

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -476,3 +477,38 @@ def test_sweep_reads_out_once_per_survivor_round(monkeypatch):
         for res, (g, h) in zip(hardness._readout(xm, values), pairs.tolist(), strict=True):
             assert res.mag_gamma == abs(evaluate(xm, g))
             assert res.mag_recip == abs(evaluate(xm, h))
+
+
+def test_decide_builds_one_config_per_round_size(monkeypatch):
+    """decide_pp's default SolverConfig depends only on the round size and
+    u_max, so it is built once per (N, u_max) and shared by every round
+    with them: over the N = 3..5 sweep's 4108 rounds, one config per pair
+    seen, each equal to the one a round would build itself. A given cfg
+    is passed to every round as it is."""
+    built = 0
+    make = hardness.SolverConfig
+
+    def counting(**kwargs):
+        nonlocal built
+        built += 1
+        return make(**kwargs)
+
+    configs = {}
+
+    def solving(inst, cfg, u_max):
+        assert (cfg.max_iters, cfg.seed) == (hardness.reduction_iteration_budget(inst.n, u_max), 0)
+        assert configs.setdefault((inst.n, u_max), cfg) is cfg
+        return oracle_solve(inst, cfg)
+
+    hardness._round_config.cache_clear()
+    monkeypatch.setattr(hardness, "SolverConfig", counting)
+    for n in (3, 4, 5):
+        for pp in all_pp_instances(n, 2, 6):
+            decide_pp(pp, functools.partial(solving, u_max=pp.u_max))
+    monkeypatch.undo()
+    hardness._round_config.cache_clear()
+    assert built == len(configs) == 16  # N = 3..5 and, after removals, 2, each at u_max = 3..6
+    mine = make(max_iters=3)
+    got = []
+    decide_pp(PPInstance((2, 2, 3, 3)), lambda inst, cfg: got.append(cfg) or oracle_solve(inst, cfg), mine)
+    assert len(got) == 2 and all(cfg is mine for cfg in got)

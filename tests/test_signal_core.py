@@ -4,6 +4,7 @@ from conftest import entries_lists
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fprlab import signal_core, solvers
 from fprlab.ambiguity import SolutionSet, anchored_solutions, enumerate_solutions
 from fprlab.errors import (
     ImaginaryResidueExceeded,
@@ -21,7 +22,7 @@ from fprlab.signal_core import (
     spectrum_from_autocorr,
     uniform_grid,
 )
-from fprlab.solvers import PRInstance, SolverConfig, error_reduction_solve, oracle_solve
+from fprlab.solvers import PRInstance, SolverConfig, amplitude_loss, error_reduction_solve, oracle_solve
 from fprlab.ztransform import build_S_poly, factor
 
 
@@ -260,3 +261,65 @@ def test_spectrum_samples_validation():
         SpectrumSamples(np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         SpectrumSamples(np.array([]), np.array([]))
+
+
+def _dense_outputs():
+    """Outputs of every path that reads a dense table, on uniform grids of
+    the sizes the pipeline samples (grid_size(N) = 4N, the anchored_oracle
+    grids among them) and others, and on grids that are not uniform."""
+    rng = np.random.default_rng(8)
+    out = []
+    for n in range(1, 15):
+        x = ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        r = autocorrelation(x)
+        for m in sorted({2 * n - 1, 4 * n, 3 * n + 2, 40}):
+            om = uniform_grid(m)
+            for angles in (om, om + 1e-3, om[::-1].copy()):
+                s = spectrum_from_autocorr(r, angles)
+                out += [fourier_intensity(x, angles).values.tobytes(), s.values.tobytes()]
+                out.append(amplitude_loss(x, SpectrumSamples(angles, np.abs(s.values) * 1.1)))
+                for near in (angles, angles + 0.5 * DEFAULT_TOL, angles + 3 * DEFAULT_TOL):
+                    try:
+                        out.append(autocorr_from_spectrum(SpectrumSamples(near, s.values), n).entries.tobytes())
+                    except (NonUniformGrid, InsufficientSamples) as exc:
+                        out.append(type(exc))
+        if n > 1:
+            pairing = factor(r)
+            for mult in (1, 2, 4):
+                samples = solvers._pairing_samples(pairing, mult)
+                out += [samples.omegas.tobytes(), samples.values.tobytes()]
+    return out
+
+
+def test_grid_tables_are_the_dense_forms(monkeypatch):
+    """On a uniform grid the dense tables (e^(i omega), the intensity,
+    spectrum and inverse phase matrices) are read from a bounded cache,
+    read-only: every output that reads one is bitwise the output with each
+    table built afresh by its expression, as before the cache, and so is
+    amplitude_loss, which once went through fourier_intensity. Grids off
+    the uniform one build their tables each call. uniform_grid still
+    returns a new writable array."""
+    cached = _dense_outputs()
+    fresh = lambda form, om, n=0: signal_core._TABLES[form](om, n)
+    monkeypatch.setattr(signal_core, "_table", fresh)
+    assert _dense_outputs() == cached
+    monkeypatch.undo()
+    rng = np.random.default_rng(9)
+    for n, m in ((3, 12), (10, 40), (14, 56)):
+        om = uniform_grid(m)
+        x = ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        s = SpectrumSamples(om, rng.uniform(0, 2, m))
+        old = float(np.sum((np.sqrt(fourier_intensity(x, om).values) - np.sqrt(np.maximum(s.values, 0.0))) ** 2))
+        assert amplitude_loss(x, s) == old
+        for form in signal_core._TABLES:
+            table = signal_core._table(form, om, n)
+            assert table is signal_core._table(form, uniform_grid(m), n)
+            assert table.tobytes() == signal_core._TABLES[form](om, n).tobytes()
+            with pytest.raises(ValueError):
+                table.setflags(write=True)
+        assert signal_core._table("points", om + 0.0 * om) is signal_core._table("points", om)
+        assert signal_core._table("points", om[::-1].copy()) is not signal_core._table("points", om)
+    fresh_grid = uniform_grid(12)
+    assert fresh_grid.flags.writeable and fresh_grid is not uniform_grid(12)
+    assert not np.shares_memory(fresh_grid, signal_core._grid_table(12)[0])
+    assert signal_core._grid_table.cache_info().maxsize == signal_core._uniform_table.cache_info().maxsize == signal_core._TABLE_CACHE

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_solver_config_validation():
         SolverConfig(step_size=0.0)
     with pytest.raises(ValueError):
         SolverConfig(loss_tol=-1.0)
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), "3", None, 0, -1, np.float64(3.0)])
+def test_solver_config_max_iters_must_be_an_integer(bad):
+    """A fractional or NaN max_iters used to pass and then fail inside
+    islice at run time; it is refused when the config is built, as
+    PPInstance refuses its values, by operator.index. numpy integers pass
+    and are kept as Python ints."""
+    with pytest.raises(ValueError, match=f"^max_iters must be an integer >= 1, got {re.escape(repr(bad))}$"):
+        SolverConfig(max_iters=bad)
+    cfg = SolverConfig(max_iters=np.int64(7))
+    assert cfg.max_iters == 7 and type(cfg.max_iters) is int
 
 
 @pytest.mark.parametrize(

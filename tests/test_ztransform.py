@@ -7,16 +7,18 @@ from conftest import entries_lists, pairing_of_signal, signals_with_clean_roots,
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fprlab import ztransform
+from fprlab import reference, ztransform
 from fprlab.errors import (
     DegenerateLeadingLag,
+    FprlabError,
+    NoFeasibleSolution,
     NonConvergence,
     OddUnitCircleMultiplicity,
     OverflowBeyondPrecision,
     UnpairableRoots,
     ZeroArgument,
 )
-from fprlab.generate import random_signal
+from fprlab.generate import generic_instance, random_signal
 from fprlab.reference import RootSelection, autocorr_from_pairing, signal_from_selection
 from fprlab.signal_core import (
     Autocorrelation,
@@ -25,6 +27,7 @@ from fprlab.signal_core import (
     fourier_intensity,
     uniform_grid,
 )
+from fprlab.solvers import PRInstance, oracle_solve
 from fprlab.ztransform import (
     PolyCoeffs,
     ZeroPairing,
@@ -541,3 +544,157 @@ def test_poly_coeffs_strips_trailing_zeros():
     assert p.coeffs.tolist() == [1.0, 2.0]
     with pytest.raises(ValueError):
         PolyCoeffs(np.array([0.0, 0.0]))
+
+
+def _outcome(run):
+    """run()'s array bytes (or value), or the type and message of the error it raised."""
+    try:
+        out = run()
+    except (FprlabError, ValueError) as exc:
+        return type(exc), str(exc)
+    return out.tobytes() if isinstance(out, np.ndarray) else out
+
+
+def _oracle_sizes():
+    """The pairings of the anchored_oracle benchmark items (N = 10, 12, 14) at
+    seeds 0 and 7877, drawn as the benchmark draws them."""
+    out = []
+    for seed in (0, 7877):
+        rng = np.random.default_rng((seed, 1))
+        out += [generic_instance(n, rng)[1] for n in (10, 12, 14)]
+    return out
+
+
+def _all_pairings(corpus):
+    kinds = (corpus.sweep, corpus.sweep6, corpus.generic, corpus.closable, corpus.near, corpus.wide, corpus.empty)
+    pairings = [p for kind in kinds for p, _ in kind]
+    return pairings + [corpus.sixteen[0], corpus.flagged[0], corpus.far[0], *_oracle_sizes()]
+
+
+def test_spectrum_from_pairing_is_the_per_pair_loop(corpus):
+    """The one-reduce spectrum is bitwise reference.spectrum_by_pairs, or
+    raises the same error with the same message: on every N = 3..6 sweep
+    embedding (values 2..6) at its sampled grid, and on the generic, anchored-oracle and
+    edge pairings at that grid, the minimal grid and a grid that is not
+    uniform. Pairings whose spectrum overflows (the far roots, scale
+    1e308), is not real or is negative are refused alike."""
+    edge = [
+        ZeroPairing(1e308, ((-2, -0.5),)),
+        ZeroPairing(1j, ((-2, -0.5),)),
+        ZeroPairing(-1.0, ((-2, -0.5), (-3, -1 / 3))),
+    ]
+    cases = 0
+    embedded = {id(p) for p, _ in corpus.sweep + corpus.sweep6}
+    for pairing in _all_pairings(corpus) + edge:
+        n = pairing.n_pairs + 1
+        grids = [uniform_grid(4 * n)]
+        if id(pairing) not in embedded:
+            grids += [uniform_grid(2 * n - 1), uniform_grid(4 * n) + 1e-3, np.array([0.3])]
+        for om in grids:
+            got = _outcome(lambda: spectrum_from_pairing(pairing, om))
+            assert got == _outcome(lambda: reference.spectrum_by_pairs(pairing, om))
+            cases += 1
+    assert cases > 3860 + 15620
+    far = _outcome(lambda: spectrum_from_pairing(corpus.far[0], uniform_grid(20)))
+    assert far == (OverflowBeyondPrecision, "the spectrum of the pairing leaves double range (overflow encountered in multiply)")
+    assert [_outcome(lambda: spectrum_from_pairing(p, uniform_grid(8)))[0] for p in edge] == [OverflowBeyondPrecision, UnpairableRoots, UnpairableRoots]
+
+
+def test_eval_ztransform_is_polyval(corpus):
+    """eval_ztransform's Horner is bitwise reference.eval_by_polyval: at the
+    planted pairs of every N = 3..6 sweep embedding, on random signals, and
+    on the oracle's first survivor of some, and at the roots of the generic and
+    anchored-oracle pairings; on 1-D arrays, and for every 16th case also
+    at one point and on a 2-D array; and with the same ZeroArgument."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for pairing, x0 in corpus.sweep[::13]:
+        try:
+            cases.append((pairing, oracle_solve(PRInstance(pairing, x0)).final))
+        except NoFeasibleSolution:
+            pass
+    assert len(cases) > 20
+    for pairing, _ in corpus.sweep + corpus.sweep6:
+        n = pairing.n_pairs + 1
+        cases.append((pairing, ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))))
+    for pairing in [p for p, _ in corpus.generic] + _oracle_sizes():
+        n = pairing.n_pairs + 1
+        cases.append((pairing, ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))))
+    for k, (pairing, x) in enumerate(cases):
+        pts = pairing.pairs.ravel()
+        assert eval_ztransform(x, pts).tobytes() == reference.eval_by_polyval(x, pts).tobytes()
+        if pts.size and k % 16 == 0:
+            assert eval_ztransform(x, pts.reshape(-1, 2)).tobytes() == reference.eval_by_polyval(x, pts.reshape(-1, 2)).tobytes()
+            z = pts.tolist()[-1]
+            assert eval_ztransform(x, z) == reference.eval_by_polyval(x, z)
+    x = ComplexSignal(np.array([9.0, 45.0, 54.0]))
+    for z in (0.0, np.array([-2.0, 0.0])):
+        assert _outcome(lambda: eval_ztransform(x, z)) == _outcome(lambda: reference.eval_by_polyval(x, z))
+
+
+def _pair_outcome(scale, pairs):
+    return _outcome(lambda: ZeroPairing(scale, pairs).pairs)
+
+
+def _loop_outcome(scale, pairs):
+    def run():
+        reference.check_pairs(pairs)
+        return np.array(pairs, dtype=np.complex128).reshape(-1, 2)
+    return _outcome(run)
+
+
+def test_zero_pairing_checks_are_the_pair_loop(corpus):
+    """ZeroPairing's partner loop accepts exactly what reference.check_pairs
+    accepts, and refuses the rest with its error and message: every corpus
+    pairing, those pairings with one root moved across its tolerance, and
+    zero roots, self-pairs on and off the unit circle, a zero partner of
+    a root past 1e6 (whose residual 1 is within 1e-6 |gamma|) and roots
+    whose modulus or residual passes double range."""
+    cases = [(p.scale, p.pairs.tolist()) for p in _all_pairings(corpus)]
+    rng = np.random.default_rng(5)
+    for pairing in [p for p, _ in corpus.generic[::7]] + [p for p, _ in corpus.sweep[::53]]:
+        if not pairing.n_pairs:
+            continue
+        pairs = pairing.pairs.tolist()
+        k = int(rng.integers(len(pairs)))
+        g, h = pairs[k]
+        for rel in (0.5e-6, 0.99e-6, 1.01e-6, 2e-6):
+            moved = [list(pair) for pair in pairs]
+            moved[k] = [g, h * (1 + rel)]
+            cases.append((pairing.scale, moved))
+    u = np.exp(0.4j)
+    c = (1 / 1.5e308) / 2
+    cases += [
+        (1.0, [[2.0, 0.5], [0.0, 3.0]]),
+        (1.0, [[2.0, 0.7], [0.0, 0.0]]),
+        (1.0, [[3.0, 0.0]]),
+        (1.0, [[1e7, 0.0]]),
+        (1.0, [[1e7, 1e-7], [2e7, 0.0]]),
+        (1.0, [[u, u], [1.5, 1.5]]),
+        (1.0, [[2.0, 0.5], [u * (1 + 1e-7), u * (1 + 1e-7)]]),
+        (1.0, [[-1.5e308 - 1.5e308j, -c - c * 1j]]),
+        (1.0, [[2.0, 0.5], [-c - c * 1j, -1.5e308 - 1.5e308j]]),
+        (1.0, [[1e300, 1e300]]),
+        (1.0, [[1e300 + 1e300j, 1e300 - 1e300j]]),
+        (1.0, [[1e200, 1e200], [2.0, 0.5]]),
+    ]
+    refused = 0
+    for scale, pairs in cases:
+        got = _pair_outcome(scale, pairs)
+        assert got == _loop_outcome(scale, pairs), pairs
+        refused += isinstance(got, tuple)
+    assert refused >= 40
+
+
+def test_roots_whose_modulus_passes_double_range_are_refused():
+    """A root with finite parts whose modulus has no double (Python's abs
+    raises OverflowError) is refused with OverflowBeyondPrecision by
+    ZeroPairing and by pair_roots, as the command line reports it."""
+    c = (1 / 1.5e308) / 2
+    big = complex(-1.5e308, -1.5e308)
+    for pairs in ([[big, complex(-c, -c)]], [[2.0, 0.5], [big, complex(-c, -c)]], [[big, big]]):
+        with pytest.raises(OverflowBeyondPrecision, match="^a root's modulus leaves double range"):
+            ZeroPairing(1.0, pairs)
+    for roots in ([big, complex(-c, -c)], [complex(-c, -c), big, 2.0, 0.5]):
+        with pytest.raises(OverflowBeyondPrecision, match="^a root's modulus leaves double range"):
+            pair_roots(np.array(roots), 1.0)
