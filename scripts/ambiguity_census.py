@@ -21,10 +21,10 @@ def census_row(n, draws, rng):
     for _ in range(draws):
         x, pairing = generic_instance(n, rng)
         sols = enumerate_solutions(pairing)
-        raw.add(len(sols.solutions))
+        raw.add(len(sols.codes))
         classes.add(len(distinct_canonical(sols.signals())))
         kept = anchored_solutions(pairing, complex(x.entries[0]))
-        anchored.add(len(kept.solutions))
+        anchored.add(len(kept.codes))
     return raw, classes, anchored
 
 

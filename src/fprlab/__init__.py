@@ -29,14 +29,12 @@ from .hardness import (
     ground_truth_exact,
     ground_truth_signal,
 )
-from .reference import RootSelection, product_constraint, signal_from_selection
 from .signal_core import (
     Autocorrelation,
     ComplexSignal,
     SpectrumSamples,
     autocorr_from_spectrum,
     autocorrelation,
-    fourier_intensity,
     spectrum_from_autocorr,
     uniform_grid,
 )
@@ -48,7 +46,6 @@ from .solvers import (
     amplitude_loss,
     error_reduction_solve,
     hio_solve,
-    intensity_loss,
     oracle_solve,
     wirtinger_flow_solve,
 )

@@ -594,11 +594,11 @@ def anchored_solutions(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_RE
     return SolutionSet(pairing, survivors, _expand(pairing, survivors, float(np.angle(x0))))
 
 
-def first_anchored_row(pairing: ZeroPairing, x0: complex, tol: float = ANCHOR_REL_TOL) -> np.ndarray:
-    """anchored_solutions(pairing, x0, tol).rows[0] as a new writable row,
+def first_anchored_row(pairing: ZeroPairing, x0: complex) -> np.ndarray:
+    """anchored_solutions(pairing, x0).rows[0] as a new writable row,
     bitwise: the same survivor search and refusals, but only the first
     survivor is expanded."""
-    return _expand(pairing, _anchored_codes(pairing, x0, tol)[:1], float(np.angle(x0)))[0]
+    return _expand(pairing, _anchored_codes(pairing, x0, ANCHOR_REL_TOL)[:1], float(np.angle(x0)))[0]
 
 
 def _anchored_codes(pairing: ZeroPairing, x0: complex, tol: float) -> np.ndarray:

@@ -38,6 +38,7 @@ from .errors import (
     FprlabError,
     KindMismatch,
     NoFeasibleSolution,
+    OutputUnwritable,
     ParseError,
     UnknownSolver,
 )
@@ -161,11 +162,19 @@ def _solver_by_name(name: str):
     return SOLVERS[name]
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write text to the file at path: the one writer of every --out."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_doc(doc: dict, out_path: str | None):
     text = json.dumps(doc, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(out_path, text + "\n")
     else:
         print(text)
 
@@ -319,15 +328,26 @@ def _bench_one(task) -> ResultRow:
         return ResultRow(iid, name, 0, float("nan"), False, wall_ms, type(exc).__name__)
 
 
+def _comma_list(text: str, option: str, read) -> list:
+    """The nonempty entries of a comma list option, each passed through read;
+    ParseError names the option on an entry read refuses or one that repeats."""
+    out = []
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        try:
+            value = read(part)
+        except ValueError:
+            raise ParseError(f"{option}: cannot read entry {part!r}") from None
+        if value in out:
+            raise ParseError(f"{option}: entry {part!r} repeats")
+        out.append(value)
+    return out
+
+
 def cmd_bench(args) -> int:
-    sizes = []
-    for part in args.sizes.split(","):
-        part = part.strip()
-        if part:
-            sizes.append(int(part))
+    sizes = _comma_list(args.sizes, "--sizes", int)
     if any(s < 3 for s in sizes):
         raise ParseError("bench sizes must be >= 3")
-    names = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    names = _comma_list(args.solvers, "--solvers", str)
     for name in names:
         _solver_by_name(name)
     if args.trials < 0:
@@ -358,8 +378,7 @@ def cmd_bench(args) -> int:
     csv_text = "\n".join(lines) + "\n"
     summary = _bench_summary(rows, names)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write_out(args.out, csv_text)
         print(summary)
     else:
         sys.stdout.write(csv_text)
@@ -369,7 +388,7 @@ def cmd_bench(args) -> int:
 
 def _bench_summary(rows, names) -> str:
     lines = [f"{len(rows)} runs"]
-    for name in sorted(set(names)):
+    for name in sorted(names):
         mine = [r for r in rows if r.solver == name]
         if not mine:
             continue

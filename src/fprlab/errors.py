@@ -93,7 +93,7 @@ class SolverFailure(FprlabError):
 # cli
 
 class ParseError(FprlabError):
-    """Instance file is not valid JSON or violates the schema."""
+    """Instance file or command-line value does not read or violates its schema."""
 
 
 class KindMismatch(FprlabError):
@@ -102,3 +102,7 @@ class KindMismatch(FprlabError):
 
 class UnknownSolver(FprlabError):
     """Solver name not in the registry."""
+
+
+class OutputUnwritable(FprlabError):
+    """The --out path cannot be written."""

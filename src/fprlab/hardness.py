@@ -29,7 +29,7 @@ from .errors import (
     SolverFailure,
 )
 from .signal_core import ComplexSignal
-from .solvers import PRInstance, SolverConfig, reduction_iteration_budget
+from .solvers import PRInstance, SolverConfig
 from .ztransform import ZeroPairing, eval_ztransform
 
 BOTH_ROOTS_CAP = 0.25
@@ -362,6 +362,11 @@ def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -
         margin = cap - max(mag_beta, mag_recip) if double else mag_recip - mag_beta - c0
         checks.append(ClauseCheck(k, double, mag_beta, mag_recip, float(margin)))
     return LemmaBoundsReport(c0, cap, tuple(checks))
+
+
+def reduction_iteration_budget(n: int, u_max: int) -> int:
+    """Iteration allowance 100 * n^2 * ceil(log2(u_max + 2)) for reduction runs."""
+    return 100 * n * n * math.ceil(math.log2(u_max + 2))
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,10 +1,12 @@
 """Slow reference paths that the fast runtime paths are tested against.
 
 Each function here spells out one definition directly, one selection,
-one product or one pair at a time, and the tests prove the runtime
-engines of ``ambiguity`` and ``ztransform`` bitwise equal to them. No runtime module imports this one;
-``fprlab`` re-exports RootSelection, signal_from_selection and
-product_constraint from it.
+one product, one pair or one dense matrix at a time. The tests prove
+the runtime engines of ``ambiguity`` and ``ztransform`` bitwise equal
+to them, and check the FFT passes of ``solvers`` against the dense
+intensity, its loss and its Wirtinger gradient. No package module
+imports this one, ``fprlab`` included, so ``import fprlab`` does not
+load it: import these names from ``fprlab.reference``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .ambiguity import _anchor_power, _blocks, _check_budget, _residuals
 from .errors import OverflowBeyondPrecision, UnpairableRoots, ZeroArgument
-from .signal_core import Autocorrelation, ComplexSignal
+from .signal_core import Autocorrelation, ComplexSignal, SpectrumSamples, _intensity_values, _table
 from .ztransform import ZeroPairing, _check_pair
 
 
@@ -136,3 +138,28 @@ def check_pairs(pairs) -> None:
     ztransform._check_pair on every pair, raising at the first that fails."""
     for g, h in np.asarray(pairs, dtype=np.complex128).reshape(-1, 2).tolist():
         _check_pair(g, h)
+
+
+def fourier_intensity(x: ComplexSignal, omegas) -> SpectrumSamples:
+    """|X(omega_j)|^2 with X(omega) = sum_n x(n) exp(-i omega n), as samples."""
+    om = np.asarray(omegas, dtype=np.float64).reshape(-1)
+    return SpectrumSamples(om, _intensity_values(x, om))
+
+
+def intensity_loss(z: ComplexSignal, s: SpectrumSamples) -> float:
+    """sum_j (|Z(omega_j)|^2 - R_j)^2 on the angles of s: the loss that
+    solvers' Wirtinger flow passes report."""
+    return float(np.sum((_intensity_values(z, s.omegas) - s.values) ** 2))
+
+
+def wirtinger_gradient(z: ComplexSignal, s: SpectrumSamples) -> np.ndarray:
+    """Gradient of intensity_loss with respect to (Re z, Im z), as a complex vector.
+
+    4 * sum_j (|Z(omega_j)|^2 - R_j) * Z(omega_j) * conj(row_j), where row_j
+    is the j-th sampling row exp(-i omega_j n). Matches central finite
+    differences of intensity_loss.
+    """
+    rows = _table("intensity", s.omegas, z.n)
+    zh = rows @ z.entries
+    diff = np.abs(zh) ** 2 - s.values
+    return 4.0 * (rows.conj().T @ (diff * zh))

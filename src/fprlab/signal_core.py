@@ -214,11 +214,6 @@ def _table(form: str, om: np.ndarray, n: int = 0) -> np.ndarray:
     return _TABLES[form](om, n)
 
 
-def _unit_points(om: np.ndarray) -> np.ndarray:
-    """exp(1j * om) for 1-D angles om; read-only on the uniform grid."""
-    return _table("points", om)
-
-
 def autocorrelation(x: ComplexSignal) -> Autocorrelation:
     """r(n) = sum_k conj(x(k)) * x(k+n), n = 0..N-1.
 
@@ -231,14 +226,8 @@ def autocorrelation(x: ComplexSignal) -> Autocorrelation:
     return Autocorrelation(r)
 
 
-def fourier_intensity(x: ComplexSignal, omegas) -> SpectrumSamples:
-    """|X(omega_j)|^2 with X(omega) = sum_n x(n) exp(-i omega n)."""
-    om = np.asarray(omegas, dtype=np.float64).reshape(-1)
-    return SpectrumSamples(om, _intensity_values(x, om))
-
-
 def _intensity_values(x: ComplexSignal, om: np.ndarray) -> np.ndarray:
-    """fourier_intensity(x, om).values for 1-D angles om, without the samples."""
+    """|X(omega_j)|^2 with X(omega) = sum_n x(n) exp(-i omega n), on 1-D angles om."""
     return np.abs(_table("intensity", om, x.n) @ x.entries) ** 2
 
 

@@ -54,7 +54,6 @@ from .signal_core import (
     autocorrelation,
     check_uniform_grid,
     checked_tol,
-    fourier_intensity,
     frozen,
     spectrum_from_autocorr,
     uniform_grid,
@@ -187,25 +186,6 @@ def amplitude_loss(z: ComplexSignal, s: SpectrumSamples) -> float:
     """sum_j (|Z(omega_j)| - sqrt(R_j))^2 on the angles of s."""
     ivals = _intensity_values(z, s.omegas)
     return float(np.sum((np.sqrt(ivals) - np.sqrt(np.maximum(s.values, 0.0))) ** 2))
-
-
-def intensity_loss(z: ComplexSignal, s: SpectrumSamples) -> float:
-    """sum_j (|Z(omega_j)|^2 - R_j)^2 on the angles of s."""
-    ivals = fourier_intensity(z, s.omegas).values
-    return float(np.sum((ivals - s.values) ** 2))
-
-
-def wirtinger_gradient(z: ComplexSignal, s: SpectrumSamples) -> np.ndarray:
-    """Gradient of intensity_loss with respect to (Re z, Im z), as a complex vector.
-
-    4 * sum_j (|Z(omega_j)|^2 - R_j) * Z(omega_j) * conj(row_j), where row_j
-    is the j-th sampling row exp(-i omega_j n). Matches central finite
-    differences of intensity_loss.
-    """
-    rows = np.exp(-1j * np.outer(s.omegas, np.arange(z.n)))
-    zh = rows @ z.entries
-    diff = np.abs(zh) ** 2 - s.values
-    return 4.0 * (rows.conj().T @ (diff * zh))
 
 
 def _normalized_setup(inst: PRInstance, cfg: SolverConfig):
@@ -389,11 +369,6 @@ def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> IterateTr
     found = ComplexSignal(out)
     loss = amplitude_loss(found, inst.grid)
     return IterateTrace((found,), np.array([loss]), True)
-
-
-def reduction_iteration_budget(n: int, u_max: int) -> int:
-    """Iteration allowance 100 * n^2 * ceil(log2(u_max + 2)) for reduction runs."""
-    return 100 * n * n * math.ceil(math.log2(u_max + 2))
 
 
 SOLVERS = {

@@ -24,7 +24,7 @@ from .errors import (
     UnpairableRoots,
     ZeroArgument,
 )
-from .signal_core import Autocorrelation, ComplexSignal, _unit_points, frozen
+from .signal_core import Autocorrelation, ComplexSignal, _table, frozen
 
 TAU_ROOT = 1e-9
 NEWTON_STEPS = 5
@@ -338,7 +338,7 @@ def spectrum_from_pairing(pairing: ZeroPairing, omegas) -> np.ndarray:
     that order: bitwise reference.spectrum_by_pairs, the per-pair loop.
     """
     om = np.asarray(omegas, dtype=np.float64).reshape(-1)
-    z = _unit_points(om)
+    z = _table("points", om)
     p = pairing.n_pairs
     factors = np.empty((2 * p + 2, om.size), np.complex128)
     factors[0] = complex(pairing.scale).conjugate()

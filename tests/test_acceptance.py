@@ -34,16 +34,15 @@ from fprlab.hardness import (
     enumerate_witnesses,
     ground_truth_exact,
 )
-from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity, uniform_grid
+from fprlab.reference import fourier_intensity, intensity_loss, wirtinger_gradient
+from fprlab.signal_core import ComplexSignal, autocorrelation, uniform_grid
 from fprlab.solvers import (
     PRInstance,
     SolverConfig,
     error_reduction_solve,
     hio_solve,
-    intensity_loss,
     oracle_solve,
     wirtinger_flow_solve,
-    wirtinger_gradient,
 )
 from fprlab.ztransform import build_S_poly, find_roots, pair_roots
 

@@ -1,6 +1,8 @@
 import ast
 import itertools
+import os
 import pathlib
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -33,8 +35,8 @@ from fprlab.errors import (
     ZeroSignal,
 )
 from fprlab.generate import generic_instance, random_signal
-from fprlab.reference import RootSelection, anchor_residuals, product_constraint, signal_from_selection
-from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity, uniform_grid
+from fprlab.reference import RootSelection, anchor_residuals, fourier_intensity, product_constraint, signal_from_selection
+from fprlab.signal_core import ComplexSignal, autocorrelation, uniform_grid
 from fprlab.solvers import PRInstance, oracle_solve
 from fprlab.ztransform import ZeroPairing
 
@@ -702,22 +704,32 @@ def test_enumeration_threads_keep_their_own_workspace():
 
 
 def test_reference_paths_stay_out_of_the_runtime():
-    """No package module but __init__ imports fprlab.reference, and each
-    reference name is defined only there, so no runtime path leans on a
-    slow one or keeps a second copy of it."""
+    """No package module, __init__ included, imports fprlab.reference, and
+    each reference name is defined only there, so no runtime path leans
+    on a slow one or keeps a second copy of it."""
     moved = [
         "RootSelection", "anchor_residuals", "autocorr_from_pairing", "check_pairs", "eval_by_polyval",
-        "product_constraint", "signal_from_selection", "spectrum_by_pairs",
+        "fourier_intensity", "intensity_loss", "product_constraint", "signal_from_selection",
+        "spectrum_by_pairs", "wirtinger_gradient",
     ]
     defined = []
     for path in sorted(pathlib.Path(fprlab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in moved:
                 defined.append((node.name, path.name))
-            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name not in ("__init__.py", "reference.py"):
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "reference.py":
                 names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
                 assert "reference" not in {n.rpartition(".")[2] for n in names}, (path.name, node.lineno)
     assert sorted(defined) == [(name, "reference.py") for name in moved]
+
+
+def test_import_fprlab_leaves_the_reference_unloaded():
+    """A fresh interpreter that imports fprlab has not loaded fprlab.reference."""
+    src = str(pathlib.Path(fprlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fprlab; print(repr((fprlab.__file__, 'fprlab.reference' in sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert ast.literal_eval(done.stdout) == (fprlab.__file__, False)
 
 
 def _tiny_part_pairing():

@@ -389,6 +389,38 @@ def test_bench_rejects_bad_config(capsys):
     assert run(capsys, ["bench", "--sizes", "2"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--solvers", "er,er", "--solvers: entry 'er' repeats"),
+        ("--solvers", "oracle, hio,oracle", "--solvers: entry 'oracle' repeats"),
+        ("--sizes", "3,x", "--sizes: cannot read entry 'x'"),
+        ("--sizes", "3,4,03", "--sizes: entry '03' repeats"),
+    ],
+)
+def test_bench_comma_lists(capsys, option, value, message):
+    """A repeated solver would run twice under two seeds and write two rows
+    with one key; each list is refused by name, before anything runs."""
+    code, out, err = run(capsys, ["bench", "--trials", "1", "--iters", "5", option, value])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["autocorr", "decide", "bench"])
+@pytest.mark.parametrize("target", ["nodir/out", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_is_a_typed_error(tmp_path, capsys, command, target):
+    """--out to a path that cannot be written exits 2 with one error line
+    naming the path; for decide, exit 1 would read as "no solution"."""
+    out = str(tmp_path / target)
+    docs = {"autocorr": SIGNAL_2, "decide": {"kind": "pp", "u": [2, 3, 5, 4, 6]}}
+    if command in docs:
+        argv = [command, write(tmp_path, "doc.json", docs[command])]
+    else:
+        argv = ["bench", "--sizes", "3", "--trials", "1", "--iters", "5", "--solvers", "oracle"]
+    code, stdout, err = run(capsys, [*argv, "--out", out])
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_anchor_whose_square_underflows_is_a_zero_anchor(tmp_path, capsys):
     # |1e-170|^2 underflows to 0, so the anchor cannot divide r(N-1)
     pairing = {"kind": "pairing", "scale": [1e-300, 0], "pairs": [[[-2, 0], [-0.5, 0]]], "anchor": [1e-170, 0]}

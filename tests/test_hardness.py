@@ -30,7 +30,8 @@ from fprlab.hardness import (
     ground_truth_exact,
     ground_truth_signal,
 )
-from fprlab.signal_core import ComplexSignal, autocorrelation, fourier_intensity
+from fprlab.reference import fourier_intensity
+from fprlab.signal_core import ComplexSignal, autocorrelation
 from fprlab import hardness, solvers
 from fprlab.solvers import IterateTrace, PRInstance, amplitude_loss, oracle_solve
 
@@ -477,6 +478,11 @@ def test_sweep_reads_out_once_per_survivor_round(monkeypatch):
         for res, (g, h) in zip(hardness._readout(xm, values), pairs.tolist(), strict=True):
             assert res.mag_gamma == abs(evaluate(xm, g))
             assert res.mag_recip == abs(evaluate(xm, h))
+
+
+def test_reduction_iteration_budget_frozen():
+    assert hardness.reduction_iteration_budget(3, 3) == 2700
+    assert hardness.reduction_iteration_budget(4, 6) == 4800
 
 
 def test_decide_builds_one_config_per_round_size(monkeypatch):

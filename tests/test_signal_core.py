@@ -18,10 +18,10 @@ from fprlab.signal_core import (
     SpectrumSamples,
     autocorr_from_spectrum,
     autocorrelation,
-    fourier_intensity,
     spectrum_from_autocorr,
     uniform_grid,
 )
+from fprlab.reference import fourier_intensity
 from fprlab.solvers import PRInstance, SolverConfig, amplitude_loss, error_reduction_solve, oracle_solve
 from fprlab.ztransform import build_S_poly, factor
 

@@ -16,7 +16,8 @@ from fprlab.errors import (
     StepDiverged,
 )
 from fprlab.generate import planted_retrieval
-from fprlab.signal_core import ComplexSignal, SpectrumSamples, autocorrelation, fourier_intensity, uniform_grid
+from fprlab.reference import fourier_intensity, intensity_loss, wirtinger_gradient
+from fprlab.signal_core import ComplexSignal, SpectrumSamples, autocorrelation, uniform_grid
 from fprlab import solvers
 from fprlab.solvers import (
     SOLVERS,
@@ -30,11 +31,8 @@ from fprlab.solvers import (
     amplitude_loss,
     error_reduction_solve,
     hio_solve,
-    intensity_loss,
     oracle_solve,
-    reduction_iteration_budget,
     wirtinger_flow_solve,
-    wirtinger_gradient,
 )
 from fprlab.ztransform import ZeroPairing
 
@@ -419,11 +417,6 @@ def test_zero_loss_iff_matching_intensity():
     assert intensity_loss(x, inst.grid) <= 1e-15
     y = ComplexSignal(x.entries * 2.0)
     assert amplitude_loss(y, inst.grid) > 1.0
-
-
-def test_reduction_iteration_budget_frozen():
-    assert reduction_iteration_budget(3, 3) == 2700
-    assert reduction_iteration_budget(4, 6) == 4800
 
 
 def test_solver_registry():

@@ -19,12 +19,11 @@ from fprlab.errors import (
     ZeroArgument,
 )
 from fprlab.generate import generic_instance, random_signal
-from fprlab.reference import RootSelection, autocorr_from_pairing, signal_from_selection
+from fprlab.reference import RootSelection, autocorr_from_pairing, fourier_intensity, signal_from_selection
 from fprlab.signal_core import (
     Autocorrelation,
     ComplexSignal,
     autocorrelation,
-    fourier_intensity,
     uniform_grid,
 )
 from fprlab.solvers import PRInstance, oracle_solve
