@@ -162,13 +162,26 @@ def _solver_by_name(name: str):
     return SOLVERS[name]
 
 
+def _unwritable(path: str, exc: OSError) -> OutputUnwritable:
+    return OutputUnwritable(f"cannot write {path}: {exc}")
+
+
 def _write_out(path: str, text: str) -> None:
     """Write text to the file at path: the one writer of every --out."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
+        raise _unwritable(path, exc) from exc
+
+
+def _probe_out(path: str) -> None:
+    """Fail as _write_out would if path cannot be opened for writing.
+    Append mode creates a missing file but leaves an existing one as it is."""
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def _emit_doc(doc: dict, out_path: str | None):
@@ -250,6 +263,7 @@ def cmd_solve(args) -> int:
     )
     t0 = time.perf_counter()
     trace = solver(inst, cfg)
+    final_loss = float(trace.losses[-1])  # the oracle computes its loss on this read
     wall_ms = (time.perf_counter() - t0) * 1000.0
     truths = _ground_truths(signal, inst)
     _emit_doc(
@@ -259,7 +273,7 @@ def cmd_solve(args) -> int:
             "n": inst.n,
             "grid_m": inst.grid.m,
             "iterations": len(trace.iterates) - 1,
-            "final_loss": float(trace.losses[-1]),
+            "final_loss": final_loss,
             "converged": trace.converged,
             "recovered": _recovered(trace.final, truths) if truths else None,
             "wall_ms": round(wall_ms, 3),
@@ -320,9 +334,10 @@ def _bench_one(task) -> ResultRow:
     t0 = time.perf_counter()
     try:
         trace = solver(inst, cfg)
+        final_loss = float(trace.losses[-1])  # the oracle computes its loss on this read
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rec = _recovered(trace.final, [gt])
-        return ResultRow(iid, name, len(trace.iterates) - 1, float(trace.losses[-1]), rec, wall_ms)
+        return ResultRow(iid, name, len(trace.iterates) - 1, final_loss, rec, wall_ms)
     except FprlabError as exc:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         return ResultRow(iid, name, 0, float("nan"), False, wall_ms, type(exc).__name__)
@@ -352,6 +367,9 @@ def cmd_bench(args) -> int:
         _solver_by_name(name)
     if args.trials < 0:
         raise ParseError("trials must be >= 0")
+    if args.out:
+        # before the runs, so that a bad path does not cost them
+        _probe_out(args.out)
 
     tasks = []
     for size in sizes:

@@ -214,8 +214,8 @@ def _embedding(values, u_last: int, u_max: int) -> PRInstance:
     top lag is rounded at most once) or when the top lag has no double.
     An instance it builds has a real pairing with positive scale and roots
     -u, -1/u for u >= 2, so its spectrum can always be sampled.
-    The instance is built without samples: most decide rounds, those the
-    anchor leaves no survivor, never read them.
+    The instance is built without samples: an oracle round never reads
+    them, since the oracle samples them only when its trace's loss is read.
     """
     n = len(values) + 1
     if u_max ** (2 * n) > 2 ** 52:

@@ -2,8 +2,9 @@
 
 Instances carry a zero pairing, an anchor x(0), and intensity samples on
 a uniform grid (default four samples per signal entry). An instance
-given no samples takes them from the pairing's spectrum on first read,
-so a decide round whose anchor leaves no survivor never samples it.
+given no samples takes them from the pairing's spectrum on first read.
+The oracle reads them only when its trace's loss is read, so a decide
+round, which reads only the iterate, never samples its intensity.
 Three iterative schemes and one exact enumeration oracle share the
 instance type:
 
@@ -13,7 +14,8 @@ instance type:
 - Wirtinger flow: plain gradient descent on the squared intensity misfit.
 - oracle: search the selections whose root-product modulus can match
   the anchor, check only those exactly, and expand and return the first
-  survivor.
+  survivor; its amplitude loss is computed on the trace's first read of
+  losses.
 
 Iterative schemes run on a copy of the instance rescaled so r(0) = 1 and
 report iterates and losses in original units; every reported iterate has
@@ -158,24 +160,59 @@ class SolverConfig:
         checked_tol(self.loss_tol, "loss_tol")
 
 
+def _checked_losses(iterates: tuple, losses) -> np.ndarray:
+    """losses as a read-only 1-D float array, once it holds one finite,
+    nonnegative loss per iterate; ValueError otherwise."""
+    # one row per iterate, so that the empty trace passes too
+    losses = frozen(np.asarray(losses, dtype=np.float64).reshape(-1, 1), "loss", 2)[:, 0]
+    if len(iterates) != losses.size:
+        raise ValueError("one loss per iterate required")
+    if (losses < 0).any():
+        raise ValueError("losses must be nonnegative")
+    return losses
+
+
 @dataclass(frozen=True, eq=False)
 class IterateTrace:
     """Iterates with matching per-iterate losses (amplitude loss for
-    error reduction / HIO / oracle, intensity loss for Wirtinger flow)."""
+    error reduction / HIO / oracle, intensity loss for Wirtinger flow).
+
+    The constructor checks the losses at once. The oracle's trace defers
+    its one loss: it is computed and checked the same way on the first
+    read of losses, kept, and any error of that computation is raised by
+    each read until one succeeds.
+    """
 
     iterates: tuple
     losses: np.ndarray
     converged: bool
 
     def __post_init__(self):
-        # one row per iterate, so that the empty trace passes too
-        losses = frozen(np.asarray(self.losses, dtype=np.float64).reshape(-1, 1), "loss", 2)[:, 0]
-        if len(self.iterates) != losses.size:
-            raise ValueError("one loss per iterate required")
-        if (losses < 0).any():
-            raise ValueError("losses must be nonnegative")
+        losses = _checked_losses(self.iterates, self.losses)
         object.__setattr__(self, "iterates", tuple(self.iterates))
         object.__setattr__(self, "losses", losses)
+
+    @classmethod
+    def _deferred(cls, iterates: tuple, loss, converged: bool) -> "IterateTrace":
+        """A trace whose losses are loss() on their first read."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "iterates", iterates)
+        object.__setattr__(trace, "converged", converged)
+        object.__setattr__(trace, "_loss", loss)
+        return trace
+
+    def __getattr__(self, name):
+        # reached only when lookup fails: for losses, the first read of a
+        # deferred trace. Once they are kept, the trace drops loss and with
+        # it what loss holds; setdefault keeps one array if two reads race.
+        state = self.__dict__
+        loss = state.get("_loss") if name == "losses" else None
+        if loss is not None:
+            state.setdefault("losses", _checked_losses(self.iterates, loss()))
+            state.pop("_loss", None)
+        if name == "losses" and "losses" in state:
+            return state["losses"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def final(self) -> ComplexSignal:
@@ -362,13 +399,17 @@ def oracle_solve(inst: PRInstance, cfg: SolverConfig | None = None) -> IterateTr
     that first anchor-consistent selection in choice-vector order as a
     single-iterate trace. NoFeasibleSolution propagates when the anchor
     rules every selection out; the enumeration budget applies.
+
+    The trace's amplitude loss on the instance's grid is computed on its
+    first read, so a caller that reads only the iterate never samples the
+    grid. For an instance built without samples whose spectrum cannot be
+    sampled, that read raises the sampling error, not this call.
     """
     del cfg
     out = ambiguity.first_anchored_row(inst.pairing, inst.anchor)
     out[0] = inst.anchor
     found = ComplexSignal(out)
-    loss = amplitude_loss(found, inst.grid)
-    return IterateTrace((found,), np.array([loss]), True)
+    return IterateTrace._deferred((found,), lambda: np.array([amplitude_loss(found, inst.grid)]), True)
 
 
 SOLVERS = {

@@ -1,11 +1,15 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fprlab import ambiguity
+from fprlab import ambiguity, cli, solvers
 from fprlab.cli import main
+from fprlab.signal_core import ComplexSignal
+from fprlab.solvers import PRInstance, SolverConfig
+from fprlab.ztransform import ZeroPairing
 
 SIGNAL_2 = {"kind": "signal", "entries": [[1.0, 0.0], [-2.0, 0.0]]}
 SIGNAL_3 = {"kind": "signal", "entries": [[9.0, 0.0], [45.0, 0.0], [54.0, 0.0]]}
@@ -205,8 +209,9 @@ def test_out_of_double_range_is_a_typed_error(tmp_path, capsys, command, doc, me
     those roots during the Newton polish, and a root with finite parts
     whose modulus has no double cannot be paired: one typed error line each,
     no numpy warning, no misjudged survivor. A pairing instance samples its
-    grid when it is built, so the oracle, which reads the grid only for a
-    survivor, is refused by the same error and not by NoFeasibleSolution."""
+    grid when it is built, so the oracle, which reads the grid only when its
+    trace's loss is read, is refused by the same error and not by
+    NoFeasibleSolution."""
     name, *options = command.split()
     code, out, err = run(capsys, [name, write(tmp_path, "doc.json", doc), *options])
     assert code == 2 and out == ""
@@ -419,6 +424,42 @@ def test_unwritable_out_is_a_typed_error(tmp_path, capsys, command, target):
     code, stdout, err = run(capsys, [*argv, "--out", out])
     assert (code, stdout) == (2, "")
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_unwritable_bench_out_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    """bench checks that --out can be opened before it runs anything, so a
+    mistyped path costs no run; the error line is the one the final write
+    would give. A writable path runs every solver once per instance."""
+    calls = []
+    for name, solver in list(cli.SOLVERS.items()):
+        monkeypatch.setitem(cli.SOLVERS, name, lambda inst, cfg, name=name, solver=solver: calls.append(name) or solver(inst, cfg))
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--sizes", "3", "--trials", "1", "--iters", "5"]
+    code, out, err = run(capsys, [*argv, "--out", "nodir/b.csv"])
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: cannot write nodir/b.csv: [Errno 2] ") and err.count("\n") == 1
+    assert run(capsys, [*argv, "--out", "b.csv"])[0] == 0
+    assert sorted(calls) == ["er", "hio", "oracle", "wf"]
+
+
+def test_wall_time_covers_the_deferred_loss(tmp_path, monkeypatch, capsys):
+    """solve and bench stop the clock only after reading the losses, which
+    the oracle computes on that read; bench records an error of that read
+    as the run's failure."""
+    events = []
+    loss = solvers.amplitude_loss
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: events.append("clock") or 0.0))
+    monkeypatch.setattr(solvers, "amplitude_loss", lambda z, s: events.append("loss") or loss(z, s))
+    assert run(capsys, ["solve", write(tmp_path, "p.json", PAIRING_3), "--solver", "oracle"])[0] == 0
+    assert events == ["clock", "loss", "clock"]
+    events.clear()
+    assert run(capsys, ["bench", "--sizes", "3", "--trials", "1", "--solvers", "oracle"])[0] == 0
+    assert events == ["clock", "loss", "clock"]
+    # an instance built without samples whose spectrum leaves double range
+    huge, anchor = ZeroPairing(1e308, ((-2, -0.5),)), np.sqrt(0.5e308)
+    gt = ComplexSignal(np.array([anchor, 2 * anchor]))
+    row = cli._bench_one(("n2_t000", "oracle", PRInstance(huge, anchor), gt, SolverConfig()))
+    assert (row.iterations, np.isnan(row.final_loss), row.recovered, row.error) == (0, True, False, "OverflowBeyondPrecision")
 
 
 def test_anchor_whose_square_underflows_is_a_zero_anchor(tmp_path, capsys):

@@ -411,11 +411,12 @@ def test_decide_sweep_frozen():
 
 
 def test_sweep_rounds_sample_only_when_read(monkeypatch):
-    """A decide round samples its intensity only when a survivor's loss
-    reads it: over the N = 3..5 sweep's 4108 rounds, the spectrum is
-    sampled once per round with a survivor. Each round's grid, read later,
-    is bitwise the one that from_pairing samples at once, and is kept."""
-    sampled = solved = 0
+    """A decide round never samples its intensity: over the N = 3..5
+    sweep's 4108 rounds, the 658 with a survivor return a trace whose loss
+    samples the spectrum only when it is read, once per round. Each
+    round's grid, read later, is bitwise the one that from_pairing samples
+    at once, and is kept."""
+    sampled = 0
     spectrum = solvers.spectrum_from_pairing
 
     def counting(pairing, omegas):
@@ -423,20 +424,23 @@ def test_sweep_rounds_sample_only_when_read(monkeypatch):
         sampled += 1
         return spectrum(pairing, omegas)
 
-    rounds = []
+    rounds, traces = [], []
 
     def recording(inst, cfg=None):
-        nonlocal solved
         rounds.append(inst)
         trace = oracle_solve(inst, cfg)
-        solved += 1
+        traces.append(trace)
         return trace
 
     monkeypatch.setattr(solvers, "spectrum_from_pairing", counting)
     for n in (3, 4, 5):
         for pp in all_pp_instances(n, 2, 6):
             decide_pp(pp, recording)
-    assert (len(rounds), solved, sampled) == (4108, 658, 658)
+    assert (len(rounds), len(traces), sampled) == (4108, 658, 0)
+    for k, trace in enumerate(traces, 1):
+        trace.losses
+        trace.losses
+        assert sampled == k
     for inst in rounds:
         eager = PRInstance.from_pairing(inst.pairing, inst.anchor)
         assert inst.grid.omegas.tobytes() == eager.grid.omegas.tobytes()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import pairing_of_signal
 from fprlab import ambiguity
 from fprlab.ambiguity import ANCHOR_REL_TOL, anchored_solutions, trivial_orbit_distance
 from fprlab.errors import (
+    FprlabError,
     InsufficientSamples,
     NoFeasibleSolution,
     NonUniformGrid,
@@ -436,3 +438,49 @@ def test_oracle_expands_only_the_first_survivor(corpus):
         want = anchored_solutions(pairing, anchor).rows[0].copy()
         want[0] = anchor
         assert oracle_solve(PRInstance(pairing, anchor)).final.entries.tobytes() == want.tobytes()
+
+
+def test_oracle_loss_is_computed_on_first_read(corpus):
+    """oracle_solve defers its loss to the first read of losses, which is
+    bitwise the eager amplitude loss on from_pairing's grid, read-only and
+    kept; the trace then lets go of the instance. It holds on every sweep
+    embedding with a survivor, on the 16-survivor instance and on every
+    anchored corpus pairing the oracle solves; where from_pairing refuses
+    the pairing, each read raises its error."""
+    anchored = [*corpus.generic, *corpus.closable, corpus.flagged, *corpus.empty, *corpus.near, *corpus.wide, corpus.far]
+    solved = refused = 0
+    for pairing, anchor in [*corpus.sweep, corpus.sixteen, *anchored]:
+        inst = PRInstance(pairing, anchor)
+        try:
+            trace = oracle_solve(inst)
+        except FprlabError:
+            continue
+        held = weakref.ref(inst)
+        del inst
+        assert held() is not None
+        try:
+            want = amplitude_loss(trace.final, PRInstance.from_pairing(pairing, anchor).grid)
+        except FprlabError as exc:
+            refused += 1
+            for _ in range(2):
+                with pytest.raises(type(exc)):
+                    trace.losses
+            continue
+        solved += 1
+        assert trace.converged and len(trace.iterates) == 1
+        assert trace.losses.tobytes() == np.array([want]).tobytes()
+        assert trace.losses is trace.losses
+        assert not trace.losses.flags.writeable
+        assert held() is None
+    # 410 sweep embeddings, the 16-survivor instance, the 270 generic
+    # pairings at their true anchor and 36 of the other kinds
+    assert (solved, refused) == (717, 0)
+    # the pairing of a scale-1e308 document, at the anchor of its survivor
+    # z + 2 (at anchor 1.0 no selection fits): its spectrum leaves double range
+    huge = ZeroPairing(1e308, ((-2, -0.5),))
+    anchor = np.sqrt(0.5e308)
+    trace = oracle_solve(PRInstance(huge, anchor))
+    assert trace.final.entries.tobytes() == np.array([anchor, 2 * anchor], complex).tobytes()
+    for _ in range(2):
+        with pytest.raises(OverflowBeyondPrecision, match="spectrum of the pairing"):
+            trace.losses
