@@ -12,7 +12,7 @@ compares:
 - the ``fprlab bench`` CSVs of the hard and random suites (sizes 3,4,5,
   6 trials, 300 iterations);
 - ``pytest -s tests/test_acceptance.py`` output with timings masked;
-- ``scripts/decision_sweep.py`` output without its wall column;
+- ``scripts/decision_sweep.py`` output without its wall and brute columns;
 - the stdout, stderr, exit code and ``--out`` file of every ``fprlab``
   call in the working tree's CI step "Installed fprlab command". The
   step runs to its end under bash (not stopping at a failed line or at
@@ -139,7 +139,7 @@ class Tree:
 
     def decision_sweep(self) -> list:
         done = self.run(sys.executable, "scripts/decision_sweep.py")
-        rows = [re.sub(r"\s+(wall|\d+\.\d+s)$", "", line) for line in done.stdout.splitlines()]
+        rows = [re.sub(r"(\s+(wall|brute|\d+\.\d+s))+$", "", line) for line in done.stdout.splitlines()]
         return [f"exit {done.returncode}"] + rows + self.masked(done.stderr)
 
     def ci_calls(self, script: str) -> list:

@@ -19,6 +19,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -176,10 +177,20 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _probe_out(path: str) -> None:
-    """Fail as _write_out would if path cannot be opened for writing.
-    Append mode creates a missing file but leaves an existing one as it is."""
+    """Fail as _write_out would if path cannot be opened for writing, and
+    leave path as it was: a missing file is created exclusively and removed
+    again, an existing one is opened in append mode, which keeps its bytes."""
     try:
-        open(path, "a", encoding="utf-8").close()
+        try:
+            open(path, "x", encoding="utf-8").close()
+            made = path
+        except FileExistsError:
+            # exists follows links: False here is a dangling symlink, whose
+            # target append mode creates
+            made = None if os.path.exists(path) else os.path.realpath(path)
+            open(path, "a", encoding="utf-8").close()
+        if made:
+            os.remove(made)
     except OSError as exc:
         raise _unwritable(path, exc) from exc
 

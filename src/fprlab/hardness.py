@@ -67,10 +67,14 @@ class PPInstance:
     u: tuple
 
     def __post_init__(self):
-        vals = [_integer(v, "values must be integers") for v in self.u]
+        u = tuple(self.u)  # the same object for a tuple; an iterator is read once
+        try:
+            vals = tuple(map(operator.index, u))
+        except TypeError:  # name the first value that is not an integer
+            vals = [_integer(v, "values must be integers") for v in u]
         if len(vals) < 2:
             raise ValueError("need at least two values")
-        if any(v < 2 for v in vals):
+        if min(vals) < 2:
             raise ValueError("all values must be >= 2")
         if max(vals[:-1]) < 3:
             raise ValueError(
@@ -174,23 +178,42 @@ def _identity_sides(pp: PPInstance, gamma) -> tuple:
 
 
 def _witnesses(pp: PPInstance):
-    """Solution subsets in increasing integer encoding (bit k-1 is index k),
-    tested by the exact, division-free identity
-    prod_Gamma^2 == u_N * prod(all of u_1..u_{N-1}).
+    """Solution subsets in increasing integer encoding (bit k-1 is index k).
+
+    A subset solves when prod_Gamma^2 == u_N * prod(u_1..u_{N-1}), so only
+    when that right side is a perfect square S^2, and then exactly the
+    subsets with product S. These are met in the middle (Horowitz & Sahni
+    1974), in exact integers: the products of every subset of the low
+    h = p // 2 values and of the high ones, built by doubling, and for each
+    high code in ascending order the low codes, ascending, whose product
+    is S divided by the high product. O(2^(p/2)) products in all;
+    reference.witnesses_by_scan is the division-free scan of all 2^p.
     """
     if pp.n > BRUTE_FORCE_BUDGET:
         raise BudgetExceeded(f"N={pp.n} exceeds brute-force budget {BRUTE_FORCE_BUDGET}")
     rest = pp.u[:-1]
-    target = pp.u[-1]
-    p = len(rest)
-    total = math.prod(rest)
-    for v in range(1 << p):
-        gamma_prod = 1
-        for k in range(p):
-            if (v >> k) & 1:
-                gamma_prod *= rest[k]
-        if gamma_prod * gamma_prod == target * total:
-            yield frozenset(k + 1 for k in range(p) if (v >> k) & 1)
+    square = pp.u[-1] * math.prod(rest)
+    s = math.isqrt(square)
+    if s * s != square:
+        return
+    h = len(rest) // 2
+    low_codes: dict = {}
+    for code, prod in enumerate(_subset_products(rest[:h])):
+        low_codes.setdefault(prod, []).append(code)
+    for high, prod in enumerate(_subset_products(rest[h:])):
+        quot, rem = divmod(s, prod)
+        if rem == 0 and quot in low_codes:
+            top = [k + 1 for k in range(h, len(rest)) if (high >> (k - h)) & 1]
+            for low in low_codes[quot]:
+                yield frozenset([k + 1 for k in range(h) if (low >> k) & 1] + top)
+
+
+def _subset_products(values) -> list:
+    """The product of every subset of values, indexed by its code (bit k is values[k])."""
+    prods = [1]
+    for v in values:
+        prods += [q * v for q in prods]
+    return prods
 
 
 def brute_force_pp(pp: PPInstance) -> PPDecision:

@@ -1,9 +1,10 @@
 """Slow reference paths that the fast runtime paths are tested against.
 
 Each function here spells out one definition directly, one selection,
-one product, one pair or one dense matrix at a time. The tests prove
-the runtime engines of ``ambiguity`` and ``ztransform`` bitwise equal
-to them, and check the FFT passes of ``solvers`` against the dense
+one product, one pair, one subset or one dense matrix at a time. The
+tests prove the runtime engines of ``ambiguity`` and ``ztransform``
+bitwise equal to them and the witness search of ``hardness`` equal to
+its scan, and check the FFT passes of ``solvers`` against the dense
 intensity, its loss and its Wirtinger gradient. No package module
 imports this one, ``fprlab`` included, so ``import fprlab`` does not
 load it: import these names from ``fprlab.reference``.
@@ -11,12 +12,14 @@ load it: import these names from ``fprlab.reference``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguity import _anchor_power, _blocks, _check_budget, _residuals
-from .errors import OverflowBeyondPrecision, UnpairableRoots, ZeroArgument
+from .errors import BudgetExceeded, OverflowBeyondPrecision, UnpairableRoots, ZeroArgument
+from .hardness import BRUTE_FORCE_BUDGET, PPInstance
 from .signal_core import Autocorrelation, ComplexSignal, SpectrumSamples, _intensity_values, _table
 from .ztransform import ZeroPairing, _check_pair
 
@@ -163,3 +166,23 @@ def wirtinger_gradient(z: ComplexSignal, s: SpectrumSamples) -> np.ndarray:
     zh = rows @ z.entries
     diff = np.abs(zh) ** 2 - s.values
     return 4.0 * (rows.conj().T @ (diff * zh))
+
+
+def witnesses_by_scan(pp: PPInstance):
+    """hardness._witnesses as a scan of every subset: solution subsets in
+    increasing integer encoding (bit k-1 is index k), tested by the exact,
+    division-free identity prod_Gamma^2 == u_N * prod(all of u_1..u_{N-1}).
+    """
+    if pp.n > BRUTE_FORCE_BUDGET:
+        raise BudgetExceeded(f"N={pp.n} exceeds brute-force budget {BRUTE_FORCE_BUDGET}")
+    rest = pp.u[:-1]
+    target = pp.u[-1]
+    p = len(rest)
+    total = math.prod(rest)
+    for v in range(1 << p):
+        gamma_prod = 1
+        for k in range(p):
+            if (v >> k) & 1:
+                gamma_prod *= rest[k]
+        if gamma_prod * gamma_prod == target * total:
+            yield frozenset(k + 1 for k in range(p) if (v >> k) & 1)

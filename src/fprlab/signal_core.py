@@ -13,7 +13,8 @@ pairing with a non-finite root is refused when it is built.
 The constructor decides only whether it copies its input first; then
 ``frozen`` checks the block shape, at least one entry per row and that
 every entry is finite, freezes the array that owns the data (copying
-an array that does not) and hands back a read-only view of it. A view
+an array that does not, unless it is a read-only view of a frozen
+owner already) and hands back a read-only view of it. A view
 cannot be made writable again while its owner is frozen, so no holder
 of a value, nor of a signal cut from a block, can turn writes back on.
 Signals built in bulk (ComplexSignal.from_rows, or read from an
@@ -43,10 +44,11 @@ def frozen(arr: np.ndarray, what: str, ndim: int = 1) -> np.ndarray:
     arr must be ndim-D with at least one entry per row (along the last
     axis) and every entry finite; ValueError names it as what otherwise.
     The caller hands over arr: if it owns its data it is frozen in place,
-    not copied; any other array is copied first, since only a frozen
-    owner keeps its views from being made writable again.
+    not copied, and a read-only view of a frozen owner is kept as it is;
+    any other array is copied first, since only a frozen owner keeps its
+    views from being made writable again.
     """
-    if not arr.flags.owndata:
+    if not arr.flags.owndata and not _frozen_view(arr):
         arr = arr.copy()
     if arr.ndim != ndim:
         raise ValueError(f"{what} needs a {ndim}-D array, got {arr.ndim}-D")
@@ -58,6 +60,12 @@ def frozen(arr: np.ndarray, what: str, ndim: int = 1) -> np.ndarray:
         raise ValueError(f"{what} entries must be finite")
     arr.setflags(write=False)
     return arr.view()
+
+
+def _frozen_view(arr: np.ndarray) -> bool:
+    """arr is a read-only view whose owner is a frozen ndarray, so nothing can write its data."""
+    base = arr.base
+    return not arr.flags.writeable and isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable
 
 
 def checked_tol(tol: float, what: str, positive: bool = False) -> float:
@@ -159,8 +167,10 @@ class SpectrumSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        om = frozen(np.asarray(self.omegas, dtype=np.float64).flatten(), "sample angles")
-        vals = frozen(np.asarray(self.values, dtype=np.float64).flatten(), "sample values")
+        # ravel, not flatten: a frozen view such as the cached uniform grid
+        # is checked and held, not copied; a caller's array is still copied
+        om = frozen(np.asarray(self.omegas, dtype=np.float64).ravel(), "sample angles")
+        vals = frozen(np.asarray(self.values, dtype=np.float64).ravel(), "sample values")
         if om.size != vals.size:
             raise ValueError("omegas and values must have equal length")
         object.__setattr__(self, "omegas", om)

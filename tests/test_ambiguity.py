@@ -710,7 +710,7 @@ def test_reference_paths_stay_out_of_the_runtime():
     moved = [
         "RootSelection", "anchor_residuals", "autocorr_from_pairing", "check_pairs", "eval_by_polyval",
         "fourier_intensity", "intensity_loss", "product_constraint", "signal_from_selection",
-        "spectrum_by_pairs", "wirtinger_gradient",
+        "spectrum_by_pairs", "wirtinger_gradient", "witnesses_by_scan",
     ]
     defined = []
     for path in sorted(pathlib.Path(fprlab.__file__).parent.glob("*.py")):

@@ -442,6 +442,23 @@ def test_unwritable_bench_out_fails_before_any_run(tmp_path, monkeypatch, capsys
     assert sorted(calls) == ["er", "hio", "oracle", "wf"]
 
 
+def test_failed_bench_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    """The --out probe of a bench that then fails leaves no file it created,
+    not even the target of a dangling symlink, and a file that was there
+    keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--sizes", "12", "--trials", "1", "--out", "b.csv"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and "exceeds 2^52" in err
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "b.csv").write_bytes(b"kept\n")
+    assert run(capsys, argv)[0] == 2
+    assert (tmp_path / "b.csv").read_bytes() == b"kept\n"
+    (tmp_path / "link").symlink_to("target")
+    assert run(capsys, [*argv[:-1], "link"])[0] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "link"]
+
+
 def test_wall_time_covers_the_deferred_loss(tmp_path, monkeypatch, capsys):
     """solve and bench stop the clock only after reading the losses, which
     the oracle computes on that read; bench records an error of that read

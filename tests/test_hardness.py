@@ -30,7 +30,7 @@ from fprlab.hardness import (
     ground_truth_exact,
     ground_truth_signal,
 )
-from fprlab.reference import fourier_intensity
+from fprlab.reference import fourier_intensity, witnesses_by_scan
 from fprlab.signal_core import ComplexSignal, autocorrelation
 from fprlab import hardness, solvers
 from fprlab.solvers import IterateTrace, PRInstance, amplitude_loss, oracle_solve
@@ -54,6 +54,14 @@ def test_instance_admission():
             PPInstance(bad)
     pp = PPInstance((np.int64(2), np.uint8(3), 6))
     assert pp.u == (2, 3, 6) and all(type(v) is int for v in pp.u)
+
+
+def test_instance_reads_its_values_once():
+    """A one-shot iterable of values is read once: a bad value is named,
+    never skipped into a shorter instance."""
+    with pytest.raises(ValueError, match="integers, got 2.5"):
+        PPInstance(iter([2.5, 3, 6, 4]))
+    assert PPInstance(iter([3, np.int64(2), 6])).u == (3, 2, 6)
 
 
 def test_brute_force_frozen():
@@ -84,6 +92,51 @@ def test_brute_force_budget():
         brute_force_pp(big)
     with pytest.raises(BudgetExceeded):
         enumerate_witnesses(big)
+
+
+def _fact8_draws():
+    """Seeded draws like ROADMAP fact 8's: N = 6..14, values 2..3, every
+    other one planted solvable. A planted draw's values are an off side
+    twice over plus extra values whose product is u_N, shuffled."""
+    rng = np.random.default_rng(8)
+    draws = []
+    for n in range(6, 15):
+        p = n - 1
+        for i in range(10):
+            while True:
+                if i % 2:
+                    extra = rng.integers(2, 4, int(rng.choice(range(2 - p % 2, p + 1, 2)))).tolist()
+                    off = rng.integers(2, 4, (p - len(extra)) // 2).tolist()
+                    u = rng.permutation(off + off + extra).tolist() + [int(np.prod(extra))]
+                else:
+                    u = rng.integers(2, 4, n).tolist()
+                if max(u[:-1]) >= 3:
+                    break
+            draws.append(PPInstance(tuple(u)))
+    return draws
+
+
+def test_witness_search_matches_the_scan():
+    """brute_force_pp's witness and every witness of enumerate_witnesses, in
+    order, equal the division-free scan of all subsets: on the N = 3..5
+    sweep (values 2..6), every instance with N = 2..7 and values 2..4,
+    fact 8's draws and instances with many witnesses from repeated values."""
+    cases = [pp for n in (3, 4, 5) for pp in all_pp_instances(n, 2, 6)]
+    cases += [pp for n in range(2, 8) for pp in all_pp_instances(n, 2, 4)]
+    draws = _fact8_draws()
+    cases += draws
+    many = [(2, 3, 3, 2), (3,) * 8 + (9,), (2, 3) * 5 + (6,), (2, 2, 3, 3, 6, 6, 4), (4,) * 10 + (16,)]
+    cases += [PPInstance(u) for u in many]
+    counts = []
+    for pp in cases:
+        want = list(witnesses_by_scan(pp))
+        assert enumerate_witnesses(pp) == want, pp.u
+        d = brute_force_pp(pp)
+        assert d.witness == (want[0] if want else None) and d.removed_pairs == ()
+        assert d.answer is (PPAnswer.HAS_SOLUTION if want else PPAnswer.NO_SOLUTION)
+        counts.append(len(want))
+    assert counts[-len(many):] == [2, 56, 100, 6, 210]
+    assert all(brute_force_pp(pp).answer is PPAnswer.HAS_SOLUTION for pp in draws[1::2])
 
 
 def test_construct_hard_instance_frozen():

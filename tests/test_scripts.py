@@ -31,4 +31,5 @@ def test_script_smallest_size_runs(name, args):
     done = run_script(name, *args)
     assert done.returncode == 0, done.stderr
     if name == "decision_sweep.py":
+        assert done.stdout.splitlines()[0].split() == ["n", "instances", "positive", "max", "anchor", "wall", "brute"]
         assert "all agree" in done.stdout

@@ -263,6 +263,30 @@ def test_spectrum_samples_validation():
         SpectrumSamples(np.array([]), np.array([]))
 
 
+def test_spectrum_samples_hold_a_frozen_grid_and_copy_other_arrays():
+    """Samples on the cached uniform grid hold its frozen angles, not a
+    copy, and stay read-only. A caller's writable array, and a read-only
+    view of a writable owner, are copied. Both take every check."""
+    x = ComplexSignal(np.array([9.0, 45.0, 54.0]))
+    grid = signal_core._grid_table(solvers.grid_size(x.n))[0]
+    pairing = factor(autocorrelation(x))
+    for s in (solvers._pairing_samples(pairing, solvers._GRID_MULT), PRInstance.from_pairing(pairing, 9.0).grid):
+        assert s.omegas.tobytes() == grid.tobytes() and np.shares_memory(s.omegas, grid)
+        with pytest.raises(ValueError):
+            s.omegas.setflags(write=True)
+    om, vals = uniform_grid(12), np.ones(12)
+    locked = vals.view()
+    locked.setflags(write=False)
+    s = SpectrumSamples(om, locked)
+    assert om.flags.writeable and vals.flags.writeable
+    assert not np.shares_memory(s.omegas, om) and not np.shares_memory(s.values, vals)
+    assert s.omegas.tobytes() == om.tobytes() and s.values.tobytes() == vals.tobytes()
+    with pytest.raises(ValueError, match="equal length"):
+        SpectrumSamples(grid, np.ones(grid.size + 1))
+    block = signal_core.frozen(np.arange(6.0).reshape(2, 3), "block", 2)
+    assert SpectrumSamples(block, block).omegas.tolist() == list(range(6))
+
+
 def _dense_outputs():
     """Outputs of every path that reads a dense table, on uniform grids of
     the sizes the pipeline samples (grid_size(N) = 4N, the anchored_oracle
