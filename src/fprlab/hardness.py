@@ -17,6 +17,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import starmap
 
 import numpy as np
 
@@ -261,15 +262,9 @@ def _planted_pairs(values) -> tuple:
     return tuple((-float(v), -1.0 / v) for v in values)
 
 
-def _readout(xm: ComplexSignal, values) -> list:
-    """One DiscriminationResult per value: |X_m| at its planted pair, all in one evaluation."""
-    mags = _magnitudes(xm, np.ravel(_planted_pairs(values)))
-    return [DiscriminationResult(a, b) for a, b in zip(mags[::2], mags[1::2])]
-
-
-def _magnitudes(xm: ComplexSignal, roots: np.ndarray) -> list:
-    """|X_m| at each of the flat planted roots (-u_1, -1/u_1, -u_2, ...), in one evaluation."""
-    return [abs(v) for v in eval_ztransform(xm, roots).tolist()]
+def _readout(xm: ComplexSignal, pairs) -> list:
+    """(|X_m(-u)|, |X_m(-1/u)|) for each row (-u, -1/u) of the (p, 2) planted pairs, in one evaluation."""
+    return [(abs(a), abs(b)) for a, b in eval_ztransform(xm, pairs).tolist()]
 
 
 def construct_hard_instance(pp: PPInstance) -> HardInstance:
@@ -332,9 +327,20 @@ def ground_truth_signal(pp: PPInstance, gamma_set) -> ComplexSignal:
     return ComplexSignal(np.array([float(c) for c in exact], dtype=np.complex128), full_support=True)
 
 
+def _separation(u_max, n) -> float:
+    """The lemma's scale u_max^(-N), with u_max and n read as integers and u_max >= 2 (ValueError otherwise)."""
+    u_max = _integer(u_max, "u_max must be an integer")
+    if u_max < 2:
+        raise ValueError("thresholds require u_max >= 2 and u_max^(-N) <= 1/4")
+    return float(u_max) ** (-_integer(n, "n must be an integer"))
+
+
 def discrimination_constant(u_max: int, n: int) -> float:
-    """Guaranteed gap 1 - 2 * u_max^(-N) between the two root magnitudes."""
-    return 1.0 - 2.0 * float(u_max) ** (-n)
+    """Guaranteed gap 1 - 2 * u_max^(-N) between the two root magnitudes.
+
+    u_max and n must be integers and u_max >= 2, else ValueError.
+    """
+    return 1.0 - 2.0 * _separation(u_max, n)
 
 
 def discriminate(xm: ComplexSignal, uk: int, u_max: int, n: int) -> DiscriminationResult:
@@ -344,15 +350,16 @@ def discriminate(xm: ComplexSignal, uk: int, u_max: int, n: int) -> Discriminati
     both roots are present (a duplicate value split across the sides);
     b >= a + 3/4 selects the gamma side; anything else selects the
     reciprocal side. The constant thresholds are valid whenever
-    u_max^(-N) <= 1/4, which the admission rule guarantees.
+    u_max^(-N) <= 1/4, which the admission rule guarantees. u_k, u_max
+    and n must be integers with u_k >= 2 and u_max >= 2, else ValueError.
     """
     uk = _integer(uk, "u_k must be an integer")
     u_max = _integer(u_max, "u_max must be an integer")
     if uk < 2:
         raise ValueError("values are >= 2")
-    if u_max < 2 or float(u_max) ** (-n) > BOTH_ROOTS_CAP:
+    if _separation(u_max, n) > BOTH_ROOTS_CAP:
         raise ValueError("thresholds require u_max >= 2 and u_max^(-N) <= 1/4")
-    return _readout(xm, (uk,))[0]
+    return DiscriminationResult(*_readout(xm, _planted_pairs((uk,)))[0])
 
 
 def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -> LemmaBoundsReport:
@@ -363,6 +370,13 @@ def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -
     c0 = 1 - 2 u_max^(-N) (reciprocal not a root), or, when both roots
     are present, max of both <= u_max^(-N). Both are read at the planted
     pair (-u_k, -1/u_k); a positive margin means the clause holds.
+
+    The check runs in doubles, where from some N on a perturbation of
+    norm u_max^(-2N) lies below the last bit of every entry. A nonzero
+    perturbation that leaves every perturbed entry bitwise the planted
+    one raises OverflowBeyondPrecision, naming N and u_max^(-2N), rather
+    than report on the unperturbed signal. A zero perturbation is checked
+    as given.
     """
     gamma = _check_witness(pp, gamma_set)
     n = pp.n
@@ -374,14 +388,21 @@ def check_lemma_bounds(pp: PPInstance, gamma_set, perturbation: ComplexSignal) -
     size = float(np.linalg.norm(delta))
     if size > hyp * (1.0 + 1e-12):
         raise HypothesisViolated(f"||perturbation|| = {size:.3e} exceeds u_max^(-2N) = {hyp:.3e}")
-    xm = ComplexSignal(np.array([float(c) for c in _planted_entries(pp, gamma)]) + delta)
+    planted = np.array([float(c) for c in _planted_entries(pp, gamma)])
+    entries = planted + delta
+    if delta.any() and np.array_equal(entries, planted):
+        raise OverflowBeyondPrecision(
+            f"at N={n} the perturbation (norm {size:.3e}, within u_max^(-2N) = {hyp:.3e}) leaves every"
+            " entry bitwise unchanged: doubles cannot carry it"
+        )
+    xm = ComplexSignal(entries)
     c0 = discrimination_constant(u_max, n)
-    cap = float(u_max) ** (-n)
+    cap = _separation(u_max, n)
     sides = {(uk, k in gamma) for k, uk in enumerate(pp.u[:-1], 1)}
     checks = []
-    for k, (uk, res) in enumerate(zip(pp.u, _readout(xm, pp.u[:-1])), 1):
+    for k, (uk, (a, b)) in enumerate(zip(pp.u, _readout(xm, _planted_pairs(pp.u[:-1]))), 1):
         double = (uk, k not in gamma) in sides
-        mag_beta, mag_recip = (res.mag_gamma, res.mag_recip) if k in gamma else (res.mag_recip, res.mag_gamma)
+        mag_beta, mag_recip = (a, b) if k in gamma else (b, a)
         margin = cap - max(mag_beta, mag_recip) if double else mag_recip - mag_beta - c0
         checks.append(ClauseCheck(k, double, mag_beta, mag_recip, float(margin)))
     return LemmaBoundsReport(c0, cap, tuple(checks))
@@ -438,8 +459,7 @@ def decide_pp(
         xm = trace.iterates[-1]
         gamma = set()
         # the round's pairing holds the planted pairs of its values, in order
-        mags = _magnitudes(xm, inst.pairing.pairs.ravel())
-        for pos, verdict in enumerate(map(_verdict, mags[::2], mags[1::2])):
+        for pos, verdict in enumerate(starmap(_verdict, _readout(xm, inst.pairing.pairs))):
             if verdict is Verdict.BOTH_ROOTS:
                 break
             if verdict is Verdict.SELECT_GAMMA:

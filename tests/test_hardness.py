@@ -34,6 +34,7 @@ from fprlab.reference import fourier_intensity, witnesses_by_scan
 from fprlab.signal_core import ComplexSignal, autocorrelation
 from fprlab import hardness, solvers
 from fprlab.solvers import IterateTrace, PRInstance, amplitude_loss, oracle_solve
+from fprlab.ztransform import eval_ztransform
 
 
 def test_instance_admission():
@@ -356,6 +357,64 @@ def test_lemma_bounds_hypothesis_guard():
         check_lemma_bounds(pp, {1, 2}, ComplexSignal(np.zeros(4)))
 
 
+def test_lemma_parameters_are_integers_and_u_max_at_least_2():
+    """discriminate and discrimination_constant read u_max and n as integers
+    and refuse u_max < 2 in one shared check."""
+    xm = ComplexSignal(np.array([9.0, 45.0, 54.0]))
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        discriminate(xm, 2, 3, 2.5)
+    res, ref = discriminate(xm, 2, 3, np.int64(3)), discriminate(xm, 2, 3, 3)
+    assert (res.mag_gamma, res.mag_recip) == (ref.mag_gamma, ref.mag_recip)
+    for u_max in (0, 1, -3):
+        with pytest.raises(ValueError, match="u_max >= 2"):
+            discrimination_constant(u_max, 3)
+    with pytest.raises(ValueError, match="u_max must be an integer, got 3.5"):
+        discrimination_constant(3.5, 3)
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        discrimination_constant(3, 2.5)
+    assert discrimination_constant(np.uint8(3), np.int64(3)) == discrimination_constant(3, 3)
+
+
+@pytest.mark.parametrize("u", [(2, 3) * 5 + (6,), (3, 3, 3, 3, 2, 2, 2, 2, 2, 3, 3, 2, 3, 192)])
+def test_lemma_bounds_refuse_a_perturbation_rounding_absorbed(u):
+    """At N = 11 and 14 a real perturbation of norm u_max^(-2N) moves no
+    entry of the planted solution, so the float check cannot read it."""
+    pp = PPInstance(u)
+    gamma = enumerate_witnesses(pp)[0]
+    hyp = float(pp.u_max) ** (-2 * pp.n)
+    d = np.random.default_rng(0).standard_normal(pp.n)
+    d *= hyp / np.linalg.norm(d)
+    with pytest.raises(OverflowBeyondPrecision, match=rf"N={pp.n}.*u_max\^\(-2N\) = {hyp:.3e}"):
+        check_lemma_bounds(pp, gamma, ComplexSignal(d))
+    assert check_lemma_bounds(pp, gamma, ComplexSignal(np.zeros(pp.n))).all_passed
+    # an imaginary part moves every (real) planted entry, so it is read
+    check_lemma_bounds(pp, gamma, ComplexSignal(1j * d))
+
+
+def test_lemma_readouts_match_one_point_evaluations():
+    """On every solvable N = 3..5 sweep instance, with its first witness,
+    check_lemma_bounds on a zero perturbation and discriminate on each
+    value read bitwise the one-point |X(-u)| and |X(-1/u)| of the
+    planted signal."""
+    solvable = 0
+    for n in (3, 4, 5):
+        for pp in all_pp_instances(n, 2, 6):
+            witnesses = enumerate_witnesses(pp)
+            if not witnesses:
+                continue
+            solvable += 1
+            gamma = witnesses[0]
+            x = ground_truth_signal(pp, gamma)
+            rep = check_lemma_bounds(pp, gamma, ComplexSignal(np.zeros(pp.n)))
+            for k, (u, c) in enumerate(zip(pp.u[:-1], rep.checks, strict=True), 1):
+                a = abs(eval_ztransform(x, -float(u)))
+                b = abs(eval_ztransform(x, -1.0 / u))
+                assert (c.mag_beta, c.mag_recip) == ((a, b) if k in gamma else (b, a))
+                res = discriminate(x, u, pp.u_max, pp.n)
+                assert (res.mag_gamma, res.mag_recip) == (a, b)
+    assert solvable == 410
+
+
 def test_decide_frozen_positive():
     d = decide_pp(PPInstance((2, 3, 6)), oracle_solve)
     assert d.answer is PPAnswer.HAS_SOLUTION
@@ -532,9 +591,10 @@ def test_sweep_reads_out_once_per_survivor_round(monkeypatch):
         assert x is xm
         assert z.astype(np.complex128).tobytes() == pairs.ravel().tobytes()
         values = [round(-g) for g in pairs[:, 0].real.tolist()]
-        for res, (g, h) in zip(hardness._readout(xm, values), pairs.tolist(), strict=True):
-            assert res.mag_gamma == abs(evaluate(xm, g))
-            assert res.mag_recip == abs(evaluate(xm, h))
+        readout = hardness._readout(xm, hardness._planted_pairs(values))
+        for (mag_gamma, mag_recip), (g, h) in zip(readout, pairs.tolist(), strict=True):
+            assert mag_gamma == abs(evaluate(xm, g))
+            assert mag_recip == abs(evaluate(xm, h))
 
 
 def test_reduction_iteration_budget_frozen():
