@@ -29,7 +29,7 @@ from .errors import (
     OverflowBeyondPrecision,
     SolverFailure,
 )
-from .signal_core import ComplexSignal
+from .signal_core import ComplexSignal, _integer
 from .solvers import PRInstance, SolverConfig
 from .ztransform import ZeroPairing, eval_ztransform
 
@@ -47,14 +47,6 @@ class Verdict(Enum):
     SELECT_GAMMA = "select_gamma"
     SELECT_RECIP = "select_recip"
     BOTH_ROOTS = "both_roots"
-
-
-def _integer(v, rule: str) -> int:
-    """v as a Python int (numpy integers pass); ValueError "<rule>, got v" otherwise."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"{rule}, got {v!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ import numpy as np
 from .ambiguity import _anchor_power, _blocks, _check_budget, _residuals
 from .errors import BudgetExceeded, OverflowBeyondPrecision, UnpairableRoots, ZeroArgument
 from .hardness import BRUTE_FORCE_BUDGET, PPInstance
-from .signal_core import Autocorrelation, ComplexSignal, SpectrumSamples, _intensity_values, _table
+from .signal_core import Autocorrelation, ComplexSignal, SpectrumSamples, _finite_angles, _intensity_rows, _intensity_values
 from .ztransform import ZeroPairing, _check_pair
 
 
@@ -102,7 +102,7 @@ def spectrum_by_pairs(pairing: ZeroPairing, omegas) -> np.ndarray:
     """ztransform.spectrum_from_pairing as a loop over the pairs: the product
     conj(r(N-1)) * prod (z - gamma)(z - gamma_recip) * z^-p built in place,
     one factor at a time, with the same checks, errors and messages."""
-    om = np.asarray(omegas, dtype=np.float64).reshape(-1)
+    om = _finite_angles(omegas)
     z = np.exp(1j * om)
     acc = np.full(om.shape, np.conj(complex(pairing.scale)), dtype=np.complex128)
     try:
@@ -162,7 +162,7 @@ def wirtinger_gradient(z: ComplexSignal, s: SpectrumSamples) -> np.ndarray:
     is the j-th sampling row exp(-i omega_j n). Matches central finite
     differences of intensity_loss.
     """
-    rows = _table("intensity", s.omegas, z.n)
+    rows = _intensity_rows(s.omegas, z.n)
     zh = rows @ z.entries
     diff = np.abs(zh) ** 2 - s.values
     return 4.0 * (rows.conj().T @ (diff * zh))

@@ -13,8 +13,7 @@ pairing with a non-finite root is refused when it is built.
 The constructor decides only whether it copies its input first; then
 ``frozen`` checks the block shape, at least one entry per row and that
 every entry is finite, freezes the array that owns the data (copying
-an array that does not, unless it is a read-only view of a frozen
-owner already) and hands back a read-only view of it. A view
+an array that does not) and hands back a read-only view of it. A view
 cannot be made writable again while its owner is frozen, so no holder
 of a value, nor of a signal cut from a block, can turn writes back on.
 Signals built in bulk (ComplexSignal.from_rows, or read from an
@@ -23,12 +22,15 @@ single kept signal keeps its whole block alive.
 
 Every tolerance and step size a caller sets passes ``checked_tol``: a
 NaN or infinite bound would turn off the comparison it feeds.
+
+The dense trigonometric tables of the sampled paths are built per call
+from the angles they are given; this module keeps no state.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +46,10 @@ def frozen(arr: np.ndarray, what: str, ndim: int = 1) -> np.ndarray:
     arr must be ndim-D with at least one entry per row (along the last
     axis) and every entry finite; ValueError names it as what otherwise.
     The caller hands over arr: if it owns its data it is frozen in place,
-    not copied, and a read-only view of a frozen owner is kept as it is;
-    any other array is copied first, since only a frozen owner keeps its
-    views from being made writable again.
+    not copied; any other array is copied first, since only a frozen
+    owner keeps its views from being made writable again.
     """
-    if not arr.flags.owndata and not _frozen_view(arr):
+    if not arr.flags.owndata:
         arr = arr.copy()
     if arr.ndim != ndim:
         raise ValueError(f"{what} needs a {ndim}-D array, got {arr.ndim}-D")
@@ -60,12 +61,6 @@ def frozen(arr: np.ndarray, what: str, ndim: int = 1) -> np.ndarray:
         raise ValueError(f"{what} entries must be finite")
     arr.setflags(write=False)
     return arr.view()
-
-
-def _frozen_view(arr: np.ndarray) -> bool:
-    """arr is a read-only view whose owner is a frozen ndarray, so nothing can write its data."""
-    base = arr.base
-    return not arr.flags.writeable and isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable
 
 
 def checked_tol(tol: float, what: str, positive: bool = False) -> float:
@@ -167,10 +162,8 @@ class SpectrumSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        # ravel, not flatten: a frozen view such as the cached uniform grid
-        # is checked and held, not copied; a caller's array is still copied
-        om = frozen(np.asarray(self.omegas, dtype=np.float64).ravel(), "sample angles")
-        vals = frozen(np.asarray(self.values, dtype=np.float64).ravel(), "sample values")
+        om = frozen(np.asarray(self.omegas, dtype=np.float64).flatten(), "sample angles")
+        vals = frozen(np.asarray(self.values, dtype=np.float64).flatten(), "sample values")
         if om.size != vals.size:
             raise ValueError("omegas and values must have equal length")
         object.__setattr__(self, "omegas", om)
@@ -181,47 +174,30 @@ class SpectrumSamples:
         return self.omegas.size
 
 
+def _integer(v, rule: str) -> int:
+    """v as a Python int (numpy integers pass); ValueError "<rule>, got v" otherwise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{rule}, got {v!r}") from None
+
+
+def _finite_angles(omegas) -> np.ndarray:
+    """omegas as a 1-D float64 array; ValueError, as SpectrumSamples gives
+    it, unless every angle is finite."""
+    om = np.asarray(omegas, dtype=np.float64).reshape(-1)
+    if np.count_nonzero(np.isfinite(om)) != om.size:
+        raise ValueError("sample angles entries must be finite")
+    return om
+
+
 def uniform_grid(m: int) -> np.ndarray:
-    """Angles 2*pi*j/m for j = 0..m-1, a new array."""
+    """Angles 2*pi*j/m for j = 0..m-1, a new array; ValueError unless m is
+    a positive integer."""
+    m = _integer(m, "m must be an integer")
     if m < 1:
         raise ValueError("grid needs at least one point")
     return 2.0 * np.pi * np.arange(m) / m
-
-
-# The dense trigonometric tables of the paths below, each a function of
-# the angles and a lag count; on the uniform grid each is built once per
-# size, by the same expression, and kept read-only in a bounded cache.
-_TABLES = {
-    "points": lambda om, n: np.exp(1j * om),
-    "intensity": lambda om, n: np.exp(-1j * np.outer(om, np.arange(n))),
-    "spectrum": lambda om, n: np.exp(-1j * np.outer(om, np.arange(-(n - 1), n))),
-    "lags": lambda om, n: np.exp(1j * np.outer(np.arange(n), om)),
-}
-_TABLE_CACHE = 64
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _grid_table(m: int) -> tuple:
-    """uniform_grid(m), frozen, and its bytes."""
-    om = uniform_grid(m)
-    return frozen(om, "grid"), om.tobytes()
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _uniform_table(form: str, m: int, n: int) -> np.ndarray:
-    """_TABLES[form] on uniform_grid(m), frozen."""
-    arr = _TABLES[form](_grid_table(m)[0], n)
-    return frozen(arr, "table", arr.ndim)
-
-
-def _table(form: str, om: np.ndarray, n: int = 0) -> np.ndarray:
-    """_TABLES[form](om, n), read from the cache when the 1-D angles om are
-    bitwise the uniform grid of their size (so the values are the same);
-    read-only then, and a new array otherwise."""
-    m = om.size
-    if m and om.tobytes() == _grid_table(m)[1]:
-        return _uniform_table(form, m, n)
-    return _TABLES[form](om, n)
 
 
 def autocorrelation(x: ComplexSignal) -> Autocorrelation:
@@ -236,9 +212,14 @@ def autocorrelation(x: ComplexSignal) -> Autocorrelation:
     return Autocorrelation(r)
 
 
+def _intensity_rows(om: np.ndarray, n: int) -> np.ndarray:
+    """The (m, n) sampling rows exp(-i omega_j k), k = 0..n-1, on 1-D angles om."""
+    return np.exp(-1j * np.outer(om, np.arange(n)))
+
+
 def _intensity_values(x: ComplexSignal, om: np.ndarray) -> np.ndarray:
     """|X(omega_j)|^2 with X(omega) = sum_n x(n) exp(-i omega n), on 1-D angles om."""
-    return np.abs(_table("intensity", om, x.n) @ x.entries) ** 2
+    return np.abs(_intensity_rows(om, x.n) @ x.entries) ** 2
 
 
 def spectrum_from_autocorr(r: Autocorrelation, omegas) -> SpectrumSamples:
@@ -249,20 +230,22 @@ def spectrum_from_autocorr(r: Autocorrelation, omegas) -> SpectrumSamples:
     r : Autocorrelation
         Stored nonnegative lags; negative lags are their conjugates.
     omegas : array_like
-        Angles to evaluate on, any real values.
+        Angles to evaluate on, any finite real values.
 
     Raises
     ------
+    ValueError
+        If an angle is not finite, before any arithmetic.
     ImaginaryResidueExceeded
         If any sample's imaginary part exceeds DEFAULT_TOL * (sum_n |r(n)| + 1)
         over the stored lags before clamping. A clean r produces an exactly
         conjugate-symmetric sum, so only rounding, which grows with the lags,
         leaves a residue; a larger one signals corrupted input.
     """
-    om = np.asarray(omegas, dtype=np.float64).reshape(-1)
+    om = _finite_angles(omegas)
     n = r.n
     full = np.concatenate([np.conj(r.entries[:0:-1]), r.entries])
-    vals = _table("spectrum", om, n) @ full
+    vals = np.exp(-1j * np.outer(om, np.arange(-(n - 1), n))) @ full
     worst = float(np.max(np.abs(vals.imag), initial=0.0))
     tol = DEFAULT_TOL * (float(np.sum(np.abs(r.entries))) + 1.0)
     if worst > tol:
@@ -278,8 +261,7 @@ def check_uniform_grid(s: SpectrumSamples, n: int) -> None:
     m = s.m
     if m < 2 * n - 1:
         raise InsufficientSamples(f"m={m} samples cannot determine {n} lags (need {2 * n - 1})")
-    grid, exact = _grid_table(m)
-    if s.omegas.tobytes() != exact and np.max(np.abs(s.omegas - grid)) > DEFAULT_TOL:
+    if np.max(np.abs(s.omegas - uniform_grid(m))) > DEFAULT_TOL:
         raise NonUniformGrid("sample angles must be 2*pi*j/m")
 
 
@@ -291,13 +273,16 @@ def autocorr_from_spectrum(s: SpectrumSamples, n: int) -> Autocorrelation:
 
     Raises
     ------
+    ValueError
+        If n is not a positive integer.
     InsufficientSamples
         If m < 2n-1.
     NonUniformGrid
         If the sample angles are not 2*pi*j/m within DEFAULT_TOL.
     """
+    n = _integer(n, "n must be an integer")
     if n < 1:
         raise ValueError("n must be positive")
     check_uniform_grid(s, n)
-    r = (_table("lags", s.omegas, n) @ s.values.astype(np.complex128)) / s.m
+    r = (np.exp(1j * np.outer(np.arange(n), s.omegas)) @ s.values.astype(np.complex128)) / s.m
     return Autocorrelation(r)

@@ -51,7 +51,6 @@ from .errors import StepDiverged
 from .signal_core import (
     ComplexSignal,
     SpectrumSamples,
-    _grid_table,
     _intensity_values,
     autocorrelation,
     check_uniform_grid,
@@ -126,7 +125,7 @@ class PRInstance:
 
 def _pairing_samples(pairing: ZeroPairing, grid_mult: int) -> SpectrumSamples:
     """The pairing's spectrum on the uniform grid of grid_size(N, grid_mult) points."""
-    om = _grid_table(grid_size(pairing.n_pairs + 1, grid_mult))[0]
+    om = uniform_grid(grid_size(pairing.n_pairs + 1, grid_mult))
     return SpectrumSamples(om, spectrum_from_pairing(pairing, om))
 
 

@@ -24,7 +24,7 @@ from .errors import (
     UnpairableRoots,
     ZeroArgument,
 )
-from .signal_core import Autocorrelation, ComplexSignal, _table, frozen
+from .signal_core import Autocorrelation, ComplexSignal, _finite_angles, frozen
 
 TAU_ROOT = 1e-9
 NEWTON_STEPS = 5
@@ -329,16 +329,17 @@ def spectrum_from_pairing(pairing: ZeroPairing, omegas) -> np.ndarray:
 
     conj(r(N-1)) * e^(-i omega (N-1)) * prod (e^(i omega) - gamma)(e^(i omega) - gamma_recip)
     is real for a valid pairing; the real part is returned with tiny
-    negative dust clamped to zero. OverflowBeyondPrecision when a partial
-    product overflows; underflow is harmless here and passes.
+    negative dust clamped to zero. ValueError, before any arithmetic, when
+    an angle is not finite; OverflowBeyondPrecision when a partial product
+    overflows; underflow is harmless here and passes.
 
     The factors are the rows of one (2p + 2, M) array, conj(r(N-1)), then
     z - gamma and z - gamma_recip pair by pair, then z^-p, and one
     multiply reduce along its rows takes their product at each angle in
     that order: bitwise reference.spectrum_by_pairs, the per-pair loop.
     """
-    om = np.asarray(omegas, dtype=np.float64).reshape(-1)
-    z = _table("points", om)
+    om = _finite_angles(omegas)
+    z = np.exp(1j * om)
     p = pairing.n_pairs
     factors = np.empty((2 * p + 2, om.size), np.complex128)
     factors[0] = complex(pairing.scale).conjugate()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import entries_lists
@@ -21,9 +23,9 @@ from fprlab.signal_core import (
     spectrum_from_autocorr,
     uniform_grid,
 )
-from fprlab.reference import fourier_intensity
+from fprlab.reference import fourier_intensity, spectrum_by_pairs
 from fprlab.solvers import PRInstance, SolverConfig, amplitude_loss, error_reduction_solve, oracle_solve
-from fprlab.ztransform import build_S_poly, factor
+from fprlab.ztransform import build_S_poly, factor, spectrum_from_pairing
 
 
 def autocorr_by_loops(e):
@@ -264,14 +266,15 @@ def test_spectrum_samples_validation():
 
 
 def test_spectrum_samples_hold_a_frozen_grid_and_copy_other_arrays():
-    """Samples on the cached uniform grid hold its frozen angles, not a
-    copy, and stay read-only. A caller's writable array, and a read-only
-    view of a writable owner, are copied. Both take every check."""
+    """Samples on the uniform grid, from _pairing_samples and from
+    PRInstance.from_pairing, hold it bitwise and read-only. A caller's
+    writable array, and a read-only view of a writable owner, are copied.
+    Both take every check."""
     x = ComplexSignal(np.array([9.0, 45.0, 54.0]))
-    grid = signal_core._grid_table(solvers.grid_size(x.n))[0]
+    grid = uniform_grid(solvers.grid_size(x.n))
     pairing = factor(autocorrelation(x))
     for s in (solvers._pairing_samples(pairing, solvers._GRID_MULT), PRInstance.from_pairing(pairing, 9.0).grid):
-        assert s.omegas.tobytes() == grid.tobytes() and np.shares_memory(s.omegas, grid)
+        assert s.omegas.tobytes() == grid.tobytes()
         with pytest.raises(ValueError):
             s.omegas.setflags(write=True)
     om, vals = uniform_grid(12), np.ones(12)
@@ -287,47 +290,10 @@ def test_spectrum_samples_hold_a_frozen_grid_and_copy_other_arrays():
     assert SpectrumSamples(block, block).omegas.tolist() == list(range(6))
 
 
-def _dense_outputs():
-    """Outputs of every path that reads a dense table, on uniform grids of
-    the sizes the pipeline samples (grid_size(N) = 4N, the anchored_oracle
-    grids among them) and others, and on grids that are not uniform."""
-    rng = np.random.default_rng(8)
-    out = []
-    for n in range(1, 15):
-        x = ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        r = autocorrelation(x)
-        for m in sorted({2 * n - 1, 4 * n, 3 * n + 2, 40}):
-            om = uniform_grid(m)
-            for angles in (om, om + 1e-3, om[::-1].copy()):
-                s = spectrum_from_autocorr(r, angles)
-                out += [fourier_intensity(x, angles).values.tobytes(), s.values.tobytes()]
-                out.append(amplitude_loss(x, SpectrumSamples(angles, np.abs(s.values) * 1.1)))
-                for near in (angles, angles + 0.5 * DEFAULT_TOL, angles + 3 * DEFAULT_TOL):
-                    try:
-                        out.append(autocorr_from_spectrum(SpectrumSamples(near, s.values), n).entries.tobytes())
-                    except (NonUniformGrid, InsufficientSamples) as exc:
-                        out.append(type(exc))
-        if n > 1:
-            pairing = factor(r)
-            for mult in (1, 2, 4):
-                samples = solvers._pairing_samples(pairing, mult)
-                out += [samples.omegas.tobytes(), samples.values.tobytes()]
-    return out
-
-
-def test_grid_tables_are_the_dense_forms(monkeypatch):
-    """On a uniform grid the dense tables (e^(i omega), the intensity,
-    spectrum and inverse phase matrices) are read from a bounded cache,
-    read-only: every output that reads one is bitwise the output with each
-    table built afresh by its expression, as before the cache, and so is
-    amplitude_loss, which once went through fourier_intensity. Grids off
-    the uniform one build their tables each call. uniform_grid still
-    returns a new writable array."""
-    cached = _dense_outputs()
-    fresh = lambda form, om, n=0: signal_core._TABLES[form](om, n)
-    monkeypatch.setattr(signal_core, "_table", fresh)
-    assert _dense_outputs() == cached
-    monkeypatch.undo()
+def test_grid_tables_are_the_dense_forms():
+    """amplitude_loss, which once went through fourier_intensity, is
+    bitwise that form on uniform grids; uniform_grid returns a new
+    writable array on each call."""
     rng = np.random.default_rng(9)
     for n, m in ((3, 12), (10, 40), (14, 56)):
         om = uniform_grid(m)
@@ -335,15 +301,43 @@ def test_grid_tables_are_the_dense_forms(monkeypatch):
         s = SpectrumSamples(om, rng.uniform(0, 2, m))
         old = float(np.sum((np.sqrt(fourier_intensity(x, om).values) - np.sqrt(np.maximum(s.values, 0.0))) ** 2))
         assert amplitude_loss(x, s) == old
-        for form in signal_core._TABLES:
-            table = signal_core._table(form, om, n)
-            assert table is signal_core._table(form, uniform_grid(m), n)
-            assert table.tobytes() == signal_core._TABLES[form](om, n).tobytes()
-            with pytest.raises(ValueError):
-                table.setflags(write=True)
-        assert signal_core._table("points", om + 0.0 * om) is signal_core._table("points", om)
-        assert signal_core._table("points", om[::-1].copy()) is not signal_core._table("points", om)
     fresh_grid = uniform_grid(12)
-    assert fresh_grid.flags.writeable and fresh_grid is not uniform_grid(12)
-    assert not np.shares_memory(fresh_grid, signal_core._grid_table(12)[0])
-    assert signal_core._grid_table.cache_info().maxsize == signal_core._uniform_table.cache_info().maxsize == signal_core._TABLE_CACHE
+    assert fresh_grid.flags.writeable and not np.shares_memory(fresh_grid, uniform_grid(12))
+
+
+def test_non_finite_angles_are_refused_before_any_arithmetic():
+    """An infinite or NaN angle raises the ValueError SpectrumSamples
+    gives, with no RuntimeWarning first, and so does the per-pair
+    reference; finite and empty angles still evaluate."""
+    r = autocorrelation(ComplexSignal(np.array([9.0, 45.0, 54.0])))
+    pairing = factor(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([np.inf], [-np.inf], [np.nan], [0.0, 1.0, np.nan]):
+            with pytest.raises(ValueError, match="sample angles entries must be finite"):
+                spectrum_from_autocorr(r, bad)
+            for spectrum in (spectrum_from_pairing, spectrum_by_pairs):
+                with pytest.raises(ValueError, match="sample angles entries must be finite"):
+                    spectrum(pairing, bad)
+        assert spectrum_from_pairing(pairing, []).size == 0
+        assert spectrum_from_autocorr(r, [0.5]).m == spectrum_from_pairing(pairing, [0.5]).size == 1
+
+
+def test_sizes_must_be_integers():
+    """uniform_grid(2.5) is no uniform grid and 2.5 lags are none at all:
+    both are refused by name, and so is a grid_mult that makes a grid
+    size of 7.5. Numpy integers still count as sizes."""
+    s = spectrum_from_autocorr(autocorrelation(ComplexSignal(np.array([1.0, 2.0]))), uniform_grid(8))
+    with pytest.raises(ValueError, match="m must be an integer, got 7.5"):
+        PRInstance.from_pairing(factor(autocorrelation(ComplexSignal(np.array([9.0, 45.0, 54.0])))), 9.0, grid_mult=2.5)
+    for v in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            uniform_grid(v)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            autocorr_from_spectrum(s, v)
+    assert uniform_grid(np.int64(8)).tobytes() == uniform_grid(8).tobytes()
+    assert autocorr_from_spectrum(s, np.int32(2)).entries.tobytes() == autocorr_from_spectrum(s, 2).entries.tobytes()
+    with pytest.raises(ValueError, match="grid needs at least one point"):
+        uniform_grid(np.int64(0))
+    with pytest.raises(ValueError, match="n must be positive"):
+        autocorr_from_spectrum(s, 0)
